@@ -35,14 +35,15 @@ _ENV_POINTS = "MORSEBOUND_POINTS"
 _STATE_COLUMNS = ["family", "dim", "n", "l", "beta", "S", "energy", "hbar", "mass", "provenance"]
 
 
-def _env_float(name, fallback):
+def _env_number(name, parse, fallback):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise DomainError(f"environment variable {name}={raw!r} is not a number") from None
+        raise DomainError(
+            f"environment variable {name}={raw!r} is not a valid {parse.__name__}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,10 +270,8 @@ def _cmd_map(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    tol = args.tol if args.tol is not None else _env_float(_ENV_TOL, 1e-6)
-    env_points = os.environ.get(_ENV_POINTS)
-    points = args.points if args.points is not None else (
-        int(env_points) if env_points else None)
+    tol = args.tol if args.tol is not None else _env_number(_ENV_TOL, float, 1e-6)
+    points = args.points if args.points is not None else _env_number(_ENV_POINTS, int, None)
     indices = sorted(set(args.n)) if args.n else [0]
 
     rows = []

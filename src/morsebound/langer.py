@@ -104,6 +104,8 @@ def angular_factor(dim: int, l: int, beta: float) -> AngularFactor:
         raise DomainError(f"dimension must be >= 2, got {dim}")
     if l < 0:
         raise DomainError(f"angular quantum number must be >= 0, got {l}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     l_plus = l + (dim - 3) / 2.0
     l_minus = -l - (dim - 1) / 2.0
     s_squared = beta + (l_plus + 0.5) ** 2

@@ -45,6 +45,9 @@ class MorseParams:
     hbar: float
 
     def __post_init__(self):
+        for name in ("v1", "v2", "alpha", "mass", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.mass <= 0.0:

@@ -2,13 +2,16 @@
 
 This module is the numerical check on every closed-form eigenvalue in the
 package.  It integrates y'' = (2m/hbar^2)(V - E) y with the three-point
-Numerov scheme (fourth order in the spacing), brackets eigenvalues by
-counting sign changes of the forward solution, and refines by bisecting the
-log-derivative mismatch of the two-sided solution at the outermost classical
-turning point.  Radial problems never touch r = 0: the mesh starts one
-spacing out and the first two values are seeded with the regular Frobenius
-behavior r^(1/2+S) (plus a short series correction so the seeding error
-stays below the scheme's own fourth-order truncation).
+Numerov scheme (fourth order in the spacing).  One sweep kernel runs the
+recurrence inward from two seed values at either end of the mesh and counts
+sign changes.  Eigenvalues are bracketed by the node count of the forward
+solution and refined by bisecting the log-derivative mismatch of the two
+one-sided solutions at the outermost classical turning point; the matched
+eigenfunction's node count is the sum of their counts up to that point.
+Radial problems never touch r = 0: the mesh starts one spacing out and the
+first two values are seeded with the regular Frobenius behavior r^(1/2+S)
+(plus a short series correction so the seeding error stays below the
+scheme's own fourth-order truncation).
 
 Every solve is repeated on a mesh with doubled spacing; the difference,
 scaled by 1/15, is reported as a Richardson error estimate.
@@ -60,8 +63,8 @@ class Grid1D:
     def __post_init__(self):
         if self.points < 1000:
             raise DomainError(f"grid needs at least 1000 points, got {self.points}")
-        if not self.x_min < self.x_max:
-            raise DomainError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise DomainError(f"grid needs finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
 
     @property
     def spacing(self) -> float:
@@ -92,7 +95,6 @@ class _Shooting:
                  frobenius=None):
         self.x = xs
         self.v = vs
-        self.n = len(xs)
         self.h = float(xs[1] - xs[0])
         self.kfac = 2.0 * mass / (hbar * hbar)
         self._w = (self.h * self.h / 12.0) * self.kfac
@@ -123,8 +125,7 @@ class _Shooting:
     def _seed_left(self, energy: float, i0: int):
         if self.frobenius is None:
             f0 = self.kfac * (float(self.v[i0]) - energy)
-            y0 = 1e-60
-            return y0, y0 * math.exp(min(math.sqrt(max(f0, 0.0)) * self.h, 30.0))
+            return 1e-60, 1e-60 * math.exp(min(math.sqrt(max(f0, 0.0)) * self.h, 30.0))
         power, delta, ztilde = self.frobenius
         big_s = power - 0.5
         b = -self.kfac * energy
@@ -141,36 +142,30 @@ class _Shooting:
 
         return series(float(self.x[i0])), series(float(self.x[i0 + 1]))
 
-    def _seed_right(self, energy: float, i1: int):
-        f_end = self.kfac * (float(self.v[i1]) - energy)
-        if f_end > 0.0:
-            y_end = 1e-60
-            return y_end, y_end * math.exp(min(math.sqrt(f_end) * self.h, 30.0))
-        return 0.0, 1e-60
-
     def match_index(self, energy: float, i0: int, i1: int) -> int:
         allowed = np.nonzero(self.v <= energy)[0]
         if allowed.size == 0:
             raise BracketError(f"no classically allowed region on the grid at E={energy}")
         return int(min(max(int(allowed[-1]), i0 + 2), i1 - 2))
 
+    def _left(self, energy: float, i0: int, last: int, c, d, cap: int | None = None):
+        """Sweep from the seeds at i0, i0 + 1 up to y[last]."""
+        yp, yc = self._seed_left(energy, i0)
+        return _sweep(yp, yc, c[i0:last - 1], d[i0 + 1:last], c[i0 + 2:last + 1], cap)
+
+    def _right(self, energy: float, i1: int, last: int, c, d):
+        """Sweep from the seeds at i1, i1 - 1 down to y[last] (last >= 1)."""
+        f_end = self.kfac * (float(self.v[i1]) - energy)
+        yp, yc = 0.0, 1e-60
+        if f_end > 0.0:
+            yp, yc = 1e-60, 1e-60 * math.exp(min(math.sqrt(f_end) * self.h, 30.0))
+        return _sweep(yp, yc, c[i1:last + 1:-1], d[i1 - 1:last:-1], c[i1 - 2:last - 1:-1])
+
     def forward_nodes(self, energy: float, cap: int | None = None) -> int:
         """Sign changes of the forward solution: the count of mesh eigenvalues below E."""
         i0, i1 = self._bounds(energy)
         c, d = self._coeffs(energy)
-        yp, yc = self._seed_left(energy, i0)
-        nodes = 0
-        for i in range(i0 + 1, i1):
-            yn = (d[i] * yc - c[i - 1] * yp) / c[i + 1]
-            if yn * yc < 0.0:
-                nodes += 1
-                if cap is not None and nodes > cap:
-                    return nodes
-            if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-                yn *= _RESCALE_FACTOR
-                yc *= _RESCALE_FACTOR
-            yp, yc = yc, yn
-        return nodes
+        return self._left(energy, i0, i1, c, d, cap)[0]
 
     def mismatch(self, energy: float) -> float:
         """Scaled log-derivative difference of the two one-sided solutions.
@@ -181,31 +176,8 @@ class _Shooting:
         i0, i1 = self._bounds(energy)
         ic = self.match_index(energy, i0, i1)
         c, d = self._coeffs(energy)
-
-        yp, yc = self._seed_left(energy, i0)
-        lm1 = l0 = lp1 = 0.0
-        for i in range(i0 + 1, ic + 1):
-            yn = (d[i] * yc - c[i - 1] * yp) / c[i + 1]
-            if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-                yn *= _RESCALE_FACTOR
-                yc *= _RESCALE_FACTOR
-                yp *= _RESCALE_FACTOR
-            if i == ic:
-                lm1, l0, lp1 = yp, yc, yn
-            yp, yc = yc, yn
-
-        yp, yc = self._seed_right(energy, i1)  # yp = y[i+1], yc = y[i]
-        rm1 = r0 = rp1 = 0.0
-        for i in range(i1 - 1, ic - 1, -1):
-            yn = (d[i] * yc - c[i + 1] * yp) / c[i - 1]
-            if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-                yn *= _RESCALE_FACTOR
-                yc *= _RESCALE_FACTOR
-                yp *= _RESCALE_FACTOR
-            if i == ic:
-                rm1, r0, rp1 = yn, yc, yp
-            yp, yc = yc, yn
-
+        _, lm1, l0, lp1 = self._left(energy, i0, ic + 1, c, d)
+        _, rp1, r0, rm1 = self._right(energy, i1, ic - 1, c, d)
         if l0 == 0.0:
             l0 = 1e-300
         if r0 == 0.0:
@@ -213,47 +185,39 @@ class _Shooting:
         return (lp1 - lm1) / l0 - (rp1 - rm1) / r0
 
     def assembled_nodes(self, energy: float) -> int:
-        """Interior sign changes of the matched two-sided eigenfunction."""
+        """Interior sign changes of the matched two-sided eigenfunction.
+
+        Matching scales the right solution to agree with the left one at ic,
+        so the junction adds no sign change: the count is the left count up
+        to ic plus the right count down to ic.
+        """
         i0, i1 = self._bounds(energy)
         ic = self.match_index(energy, i0, i1)
         c, d = self._coeffs(energy)
+        return self._left(energy, i0, ic, c, d)[0] + self._right(energy, i1, ic, c, d)[0]
 
-        left = [0.0] * (ic - i0 + 1)  # left[j] = y[i0 + j]
-        left[0], left[1] = self._seed_left(energy, i0)
-        for j in range(1, ic - i0):
-            i = i0 + j
-            yn = (d[i] * left[j] - c[i - 1] * left[j - 1]) / c[i + 1]
-            if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-                # Only the signs matter for node counting, so renormalize the
-                # stored history as well to keep everything finite.
-                for k in range(j + 1):
-                    left[k] *= _RESCALE_FACTOR
-                yn *= _RESCALE_FACTOR
-            left[j + 1] = yn
 
-        m = i1 - ic + 1
-        right = [0.0] * m  # right[j] = y[ic + j]
-        right[m - 1], right[m - 2] = self._seed_right(energy, i1)
-        for j in range(m - 2, 0, -1):
-            i = ic + j
-            yn = (d[i] * right[j] - c[i + 1] * right[j + 1]) / c[i - 1]
-            if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-                for k in range(j, m):
-                    right[k] *= _RESCALE_FACTOR
-                yn *= _RESCALE_FACTOR
-            right[j - 1] = yn
+def _sweep(yp: float, yc: float, c_back, d_here, c_ahead, cap: int | None = None):
+    """Numerov recurrence from the seeds (yp, yc) over (c behind, d here, c ahead) triples.
 
-        anchor = right[0] if right[0] != 0.0 else 1e-300
-        ratio = left[-1] / anchor
-        merged = left + [val * ratio for val in right[1:]]
-        nodes = 0
-        prev = 0.0
-        for val in merged:
-            if val != 0.0:
-                if prev != 0.0 and (val > 0.0) != (prev > 0.0):
-                    nodes += 1
-                prev = val
-        return nodes
+    Returns the sign changes of the new values (stopping past ``cap``) and the
+    last three values, oldest first; callers use only signs and ratios, so all
+    three are rescaled together when the solution nears overflow.
+    """
+    nodes = 0
+    ym = yp
+    for cb, dh, ca in zip(c_back, d_here, c_ahead):
+        yn = (dh * yc - cb * yp) / ca
+        if yn * yc < 0.0:
+            nodes += 1
+            if cap is not None and nodes > cap:
+                break
+        if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
+            yn *= _RESCALE_FACTOR
+            yc *= _RESCALE_FACTOR
+            yp *= _RESCALE_FACTOR
+        ym, yp, yc = yp, yc, yn
+    return nodes, ym, yp, yc
 
 
 def _locate(prob: _Shooting, target: int, bracket, tol_rel: float) -> float:
@@ -273,21 +237,26 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float) -> float:
         )
     iters = 2
 
-    def tol_abs() -> float:
-        return tol_rel * max(1.0, abs(lo), abs(hi))
+    def bisect(lo, hi, rel, above, what):
+        """Halve [lo, hi] to rel*max(1, |lo|, |hi|); above(E) means the eigenvalue is below E."""
+        nonlocal iters
+        while hi - lo > rel * max(1.0, abs(lo), abs(hi)):
+            if iters >= _MAX_ITER:
+                raise ConvergenceError(f"{what} exhausted {_MAX_ITER} iterations")
+            mid = 0.5 * (lo + hi)
+            iters += 1
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    def nodes_above(energy):
+        return prob.forward_nodes(energy, cap=target + 1) > target
 
     # Phase 1: bisect on the node count until the window is narrow enough for
     # the mismatch function to be pole-free.
-    while hi - lo > max(1e-3 * max(1.0, abs(lo), abs(hi)), 64.0 * tol_abs()):
-        if iters >= _MAX_ITER:
-            raise ConvergenceError(f"node bisection exhausted {_MAX_ITER} iterations")
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if prob.forward_nodes(mid, cap=target + 1) > target:
-            hi = mid
-        else:
-            lo = mid
-
+    lo, hi = bisect(lo, hi, max(1e-3, 64.0 * tol_rel), nodes_above, "node bisection")
     window = (lo, hi)
     width = hi - lo
 
@@ -320,33 +289,25 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float) -> float:
         f_hi = prob.mismatch(hi)
 
     if pure_nodes:
-        lo, hi = window
-        while hi - lo > tol_abs():
-            if iters >= _MAX_ITER:
-                raise ConvergenceError(f"bisection exhausted {_MAX_ITER} iterations")
-            mid = 0.5 * (lo + hi)
-            iters += 1
-            if prob.forward_nodes(mid, cap=target + 1) > target:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    while hi - lo > tol_abs():
-        if iters >= _MAX_ITER:
-            raise ConvergenceError(f"mismatch bisection exhausted {_MAX_ITER} iterations")
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        f_mid = prob.mismatch(mid)
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = bisect(*window, tol_rel, nodes_above, "node bisection")
+    else:
+        lo, hi = bisect(lo, hi, tol_rel, lambda e: not prob.mismatch(e) > 0.0,
+                        "mismatch bisection")
     return 0.5 * (lo + hi)
+
+
+def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
+    if not 0.0 < tol_rel < math.inf:
+        raise DomainError(f"tol_rel must be finite and positive, got {tol_rel}")
+    if grid.points < 1999:  # the doubled-spacing mesh needs Grid1D's 1000 points
+        raise DomainError("a solve needs at least 1999 grid points (it is repeated "
+                          f"with doubled spacing), got {grid.points}")
 
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> OracleResult:
     """Locate on the requested mesh and on the doubled-spacing mesh."""
+    if target < 0:
+        raise DomainError(f"target_nodes must be >= 0, got {target}")
     fine = build(grid)
     e_fine = _locate(fine, target, bracket, tol_rel)
     nodes = fine.assembled_nodes(e_fine)
@@ -399,6 +360,8 @@ def _radial_builder(problem: RadialProblem):
     centrifugal = (problem.hbar ** 2 / (2.0 * problem.mass)) * inv_sq
 
     def build(grid: Grid1D) -> _Shooting:
+        if grid.x_min != 0.0:
+            raise DomainError("radial grids start at x_min = 0 (first node one spacing out)")
         rs = grid.positions()[1:]  # r = 0 is a (regular) singular point
         vs = centrifugal / (rs * rs)
         if z_pow != 0.0:
@@ -416,10 +379,9 @@ def solve_1d(potential, grid: Grid1D, target_nodes: int, mass: float, hbar: floa
     ``bracket`` must contain exactly that eigenvalue; the node counts of the
     forward solution at the bracket ends are checked before any bisection.
     """
-    if target_nodes < 0:
-        raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
     if mass <= 0.0 or hbar <= 0.0:
         raise DomainError("mass and hbar must be positive")
+    _check_solve_inputs(grid, tol_rel)
     return _solve_dual(_line_builder(potential, mass, hbar), grid, target_nodes,
                        bracket, tol_rel)
 
@@ -432,10 +394,7 @@ def solve_radial(problem: RadialProblem, grid: Grid1D, target_nodes: int, bracke
     spacing away from the origin and the solution is seeded there with the
     regular branch r^(1/2+S).
     """
-    if target_nodes < 0:
-        raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
-    if grid.x_min != 0.0:
-        raise DomainError("radial grids start at x_min = 0 (first node one spacing out)")
+    _check_solve_inputs(grid, tol_rel)
     return _solve_dual(_radial_builder(problem), grid, target_nodes, bracket, tol_rel)
 
 
@@ -465,6 +424,7 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
         if grid is None or mass is None or hbar is None:
             raise DomainError("scanning a callable potential requires grid, mass and hbar")
         build = _line_builder(target, mass, hbar)
+    _check_solve_inputs(grid, tol_rel)
 
     prob = build(grid)
     n_lo = prob.forward_nodes(lo)
@@ -506,7 +466,18 @@ def _default_radial_grid(problem: RadialProblem, window_top: float) -> Grid1D:
 # it from the closed forms costs nothing in independence.
 # ---------------------------------------------------------------------------
 
-def _morse_default_grid(params: MorseParams, energy: float, points: int) -> Grid1D:
+def _bracket(energies, n: int):
+    """Window around energies[n]: 20% of |E|, capped at 45% of each gap to a neighbour."""
+    energy = energies[n]
+    pad_dn = pad_up = 0.2 * abs(energy)
+    if n + 1 < len(energies):
+        pad_up = min(pad_up, 0.45 * (energies[n + 1] - energy))
+    if n > 0:
+        pad_dn = min(pad_dn, 0.45 * (energy - energies[n - 1]))
+    return (energy - pad_dn, energy + pad_up)
+
+
+def _morse_default_grid(params: MorseParams, energy: float, points: int | None) -> Grid1D:
     depth = max(abs(energy), params.v1 ** 2 / (4.0 * params.v2))
     wall = max(500.0 * depth, 200.0)
     t_wall = (-params.v1 + math.sqrt(params.v1 ** 2 + 4.0 * params.v2 * wall)) / (2.0 * params.v2)
@@ -516,6 +487,8 @@ def _morse_default_grid(params: MorseParams, energy: float, points: int) -> Grid
     x_turn = -math.log(max(t_out, 1e-300)) / params.alpha
     kappa = math.sqrt(2.0 * params.mass * abs(energy)) / params.hbar
     x_max = x_turn + 28.0 / kappa
+    if points is None:
+        points = max(8001, int(math.ceil((x_max - x_min) / 0.004)) | 1)
     return Grid1D(x_min, x_max, points)
 
 
@@ -532,19 +505,9 @@ def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
         raise DomainError(f"state {n} does not exist; the well holds {len(states)} states")
     energy = states[n].energy
     if grid is None:
-        probe = _morse_default_grid(params, energy, 8001)
-        if points is None:
-            span = probe.x_max - probe.x_min
-            points = max(8001, int(math.ceil(span / 0.004)) | 1)
         grid = _morse_default_grid(params, energy, points)
     if bracket is None:
-        pad_up = 0.2 * abs(energy)
-        if n + 1 < len(states):
-            pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
-        pad_dn = 0.2 * abs(energy)
-        if n > 0:
-            pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
-        bracket = (energy - pad_dn, energy + pad_up)
+        bracket = _bracket([st.energy for st in states], n)
 
     def potential(x):
         t = np.exp(-params.alpha * x)
@@ -583,11 +546,5 @@ def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: fl
         r_turn = abs(z) / abs(state.energy)
         grid = Grid1D(0.0, r_turn + 28.0 / kappa, points)
     if bracket is None:
-        pad_up = 0.2 * abs(state.energy)
-        pad_up = min(pad_up, 0.45 * (states[n + 1].energy - state.energy))
-        pad_dn = 0.2 * abs(state.energy)
-        if n > 0:
-            below = coulomb_spectrum(dim, l, beta, z, mass, hbar, n)[n - 1]
-            pad_dn = min(pad_dn, 0.45 * (state.energy - below.energy))
-        bracket = (state.energy - pad_dn, state.energy + pad_up)
+        bracket = _bracket([st.energy for st in states], n)
     return solve_radial(problem, grid, n, bracket, tol_rel=tol_rel)

@@ -64,8 +64,8 @@ def sho_spectrum(dim: int, l: int, beta: float, omega: float, mass: float,
     The tower is infinite and strictly increasing; states n = 0..n_max are
     returned.  Requires omega > 0 and an above-critical coupling beta.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
     _check_n_max(n_max)
     af = angular_factor(dim, l, beta)
     return [
@@ -82,8 +82,8 @@ def coulomb_spectrum(dim: int, l: int, beta: float, z: float, mass: float,
     Here a = hbar^2/(m|z|) and binding requires z < 0; the energies are
     negative and increase strictly toward zero with n.
     """
-    if z >= 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires z < 0, got {z}")
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
     _check_n_max(n_max)
     af = angular_factor(dim, l, beta)
     a = hbar * hbar / (mass * abs(z))

@@ -160,6 +160,23 @@ class TestVerifyCommand:
                             "--v1", "-8", "--v2", "8", "--n", "0")
         assert json.loads(out)["tolerance"] == 1e-3
 
+    @pytest.mark.parametrize("argv,env", [
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--alpha", "nan"], {}),
+        (["spectrum", "--system", "morse", "--v1=-inf", "--v2", "8"], {}),
+        (["spectrum", "--system", "sho", "--dim", "3", "--omega", "nan"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"],
+         {"MORSEBOUND_POINTS": "abc"}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1001"], {}),
+    ])
+    def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "NaN" not in out
+
     def test_env_points_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MORSEBOUND_POINTS", "6001")
         code, out, _ = run_cli(capsys, "verify", "--system", "morse",

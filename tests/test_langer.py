@@ -64,6 +64,11 @@ class TestAngularFactor:
         with pytest.raises(CriticalCouplingError):
             angular_factor(4, 0, -1.5)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(DomainError):
+            angular_factor(3, 0, beta)
+
 
 class TestCriticalBeta:
     @pytest.mark.parametrize("dim,value", [(2, 0.0), (3, -0.25), (4, -1.0), (5, -2.25)])

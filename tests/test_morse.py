@@ -22,7 +22,10 @@ TWO_STATE = MorseParams(v1=-8.0, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0)
 
 class TestParams:
     def test_validation(self):
-        for bad in (dict(alpha=0.0), dict(alpha=-1.0), dict(mass=0.0), dict(hbar=-2.0)):
+        for bad in (dict(alpha=0.0), dict(alpha=-1.0), dict(mass=0.0), dict(hbar=-2.0),
+                    dict(v1=math.nan), dict(v1=-math.inf), dict(v2=math.inf),
+                    dict(alpha=math.nan), dict(alpha=math.inf), dict(mass=math.inf),
+                    dict(hbar=math.nan)):
             kwargs = dict(v1=-8.0, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0)
             kwargs.update(bad)
             with pytest.raises(DomainError):

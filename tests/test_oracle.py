@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from morsebound.errors import BracketError, CriticalCouplingError, DomainError
+from morsebound.errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from morsebound.langer import RadialProblem
 from morsebound.morse import MorseParams
 from morsebound.oracle import (
@@ -33,6 +33,9 @@ class TestGrid:
             Grid1D(1.0, 1.0, 2000)
         with pytest.raises(DomainError):
             Grid1D(2.0, 1.0, 2000)
+        for bad in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                Grid1D(*bad, 2001)
 
     def test_spacing_and_positions(self):
         grid = Grid1D(0.0, 10.0, 1001)
@@ -81,6 +84,32 @@ class TestMorseOracle:
             solve_1d(morse_potential, grid, 0, 1.0, 1.0, (-2.0, -1.3))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("tol_rel", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_rel_must_be_finite_and_positive(self, tol_rel):
+        with pytest.raises(DomainError, match="tol_rel"):
+            solve_morse(TWO_STATE, 1, tol_rel=tol_rel)
+        with pytest.raises(DomainError, match="tol_rel"):
+            solve_coulomb(3, 0, 0.0, -1.0, 1.0, 1.0, 0, tol_rel=tol_rel)
+        with pytest.raises(DomainError, match="tol_rel"):
+            scan_spectrum(morse_potential, (-2.0, 0.0), 5, grid=Grid1D(-2.5, 30.0, 6001),
+                          mass=1.0, hbar=1.0, tol_rel=tol_rel)
+
+    def test_unreachable_tolerance_exhausts_the_iteration_budget(self):
+        with pytest.raises(ConvergenceError):
+            solve_1d(morse_potential, Grid1D(-3.0, 30.0, 2001), 0, 1.0, 1.0,
+                     (-2.0, -0.5), tol_rel=1e-300)
+
+    def test_grid_too_coarse_for_the_doubled_spacing_mesh(self):
+        # 1001 points is a valid Grid1D, but its doubled-spacing companion
+        # would hold only 501; the error names the count that was asked for.
+        with pytest.raises(DomainError, match="got 1001"):
+            solve_morse(TWO_STATE, 0, points=1001)
+        with pytest.raises(DomainError, match="got 1998"):
+            solve_radial(RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0, mass=1.0,
+                                       hbar=1.0), Grid1D(0.0, 30.0, 1998), 0, (-0.6, -0.4))
+
+
 class TestRadialOracle:
     def test_pure_oscillator_ground(self):
         result = solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 0)
@@ -106,6 +135,8 @@ class TestRadialOracle:
         problem = RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
         with pytest.raises(DomainError):
             solve_radial(problem, Grid1D(0.5, 30.0, 2001), 0, (-0.6, -0.4))
+        with pytest.raises(DomainError):
+            scan_spectrum(problem, (-0.6, -0.1), 3, grid=Grid1D(0.5, 60.0, 8001))
 
     def test_critical_coupling_rejected(self):
         problem = RadialProblem(dim=3, l=0, beta=-0.3, delta=-1, z=-1.0, mass=1.0, hbar=1.0)

@@ -41,8 +41,9 @@ class TestShoSpectrum:
                    for a, b in zip(energies, energies[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            sho_spectrum(3, 0, 0.0, 0.0, 1.0, 1.0, 2)
+        for omega in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sho_spectrum(3, 0, 0.0, omega, 1.0, 1.0, 2)
         with pytest.raises(DomainError):
             sho_spectrum(3, 0, 0.0, 1.0, 1.0, 1.0, -1)
         with pytest.raises(CriticalCouplingError):
@@ -69,8 +70,9 @@ class TestCoulombSpectrum:
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            coulomb_spectrum(3, 0, 0.0, 1.0, 1.0, 1.0, 2)
+        for z in (1.0, math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                coulomb_spectrum(3, 0, 0.0, z, 1.0, 1.0, 2)
         with pytest.raises(CriticalCouplingError):
             coulomb_spectrum(2, 0, -1e-9, -1.0, 1.0, 1.0, 2)
 
