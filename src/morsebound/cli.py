@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -271,6 +272,8 @@ def _cmd_map(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     tol = args.tol if args.tol is not None else _env_number(_ENV_TOL, float, 1e-6)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"verify tolerance must be positive and finite, got {tol}")
     points = args.points if args.points is not None else _env_number(_ENV_POINTS, int, None)
     indices = sorted(set(args.n)) if args.n else [0]
 

@@ -58,10 +58,12 @@ class RadialProblem:
             raise DomainError(f"angular quantum number must be >= 0, got {self.l}")
         if self.delta not in _ALLOWED_DELTAS:
             raise DomainError(f"delta must be one of {_ALLOWED_DELTAS}, got {self.delta}")
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.hbar <= 0.0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        if not 0.0 < self.mass < math.inf:
+            raise DomainError(f"mass must be positive and finite, got {self.mass}")
+        if not 0.0 < self.hbar < math.inf:
+            raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
+        if not math.isfinite(self.z):
+            raise DomainError(f"coupling z must be finite, got {self.z}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,8 @@ def to_morse(problem: RadialProblem, energy: float) -> MorseImage:
     admissibility conditions hold: energy > 0 and z > 0 for the oscillator,
     z < 0 and energy < 0 for the Coulomb case.
     """
+    if not math.isfinite(energy):
+        raise DomainError(f"trial energy must be finite, got {energy}")
     if problem.delta in (0, -2):
         raise UnsupportedDeltaError(
             f"delta={problem.delta} leaves a pure inversely quadratic potential, "

@@ -2,12 +2,17 @@
 
 This module is the numerical check on every closed-form eigenvalue in the
 package.  It integrates y'' = (2m/hbar^2)(V - E) y with the three-point
-Numerov scheme (fourth order in the spacing).  One sweep kernel runs the
-recurrence inward from two seed values at either end of the mesh and counts
-sign changes.  Eigenvalues are bracketed by the node count of the forward
-solution and refined by bisecting the log-derivative mismatch of the two
-one-sided solutions at the outermost classical turning point; the matched
-eigenfunction's node count is the sum of their counts up to that point.
+Numerov scheme (fourth order in the spacing) in Johnson's renormalized form:
+one kernel carries the ratio R[i] = F[i+1]/F[i] of F = (1 - h^2 f/12) y
+through R[i] = U[i] - 1/R[i-1], so nothing overflows and a node is a negative
+ratio.  Forward node counts check the bracket ends.  Each refinement step is
+one probe: a left sweep up to the outermost classical turning point and a
+right sweep down to it give the log-derivative mismatch there and the matched
+node count S(E), the sum of the two one-sided counts.  S changes only at the
+mismatch's poles, so {E : S(E) = n} is the pole-free window holding the n-th
+eigenvalue and one zero of the mismatch.  The refinement bisects until both
+bracket ends lie in that window, then takes Illinois false-position steps; the
+node count of the result is read off the bracketing probes.
 Radial problems never touch r = 0: the mesh starts one spacing out and the
 first two values are seeded with the regular Frobenius behavior r^(1/2+S)
 (plus a short series correction so the seeding error stays below the
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +47,9 @@ __all__ = [
     "solve_coulomb",
 ]
 
-_RESCALE_LIMIT = 1e250
-_RESCALE_FACTOR = 1e-250
 _DEFAULT_TOL_REL = 1e-10
+# Largest mesh scan_spectrum builds on its own: r_max = 25000 at spacing 0.02.
+_MAX_DEFAULT_POINTS = 1_250_001
 _MAX_ITER = 200
 # Integration starts where h^2*f/12 stays below this cap: past it the Numerov
 # factor 1 - h^2*f/12 turns negative and the recurrence alternates signs,
@@ -103,9 +109,10 @@ class _Shooting:
         # generic barrier form to the regular r^(1/2+S) series at the origin.
         self.frobenius = frobenius
 
-    def _coeffs(self, energy: float):
-        c = self._base + self._w * energy
-        return c.tolist(), (12.0 - 10.0 * c).tolist()
+    def _coeffs(self, energy: float, i0: int, i1: int):
+        """Numerov factors c on [i0, i1] and the ratio coefficients U = 12/c - 10."""
+        c = self._base[i0:i1 + 1] + self._w * energy
+        return c, 12.0 / c - 10.0
 
     def _bounds(self, energy: float):
         """First and last mesh index the recurrence may visit at this energy.
@@ -122,10 +129,11 @@ class _Shooting:
             )
         return int(idx[0]), int(idx[-1])
 
-    def _seed_left(self, energy: float, i0: int):
+    def _seed_left(self, energy: float, i0: int) -> float:
+        """y[i0 + 1] / y[i0] of the solution regular at the left end."""
         if self.frobenius is None:
             f0 = self.kfac * (float(self.v[i0]) - energy)
-            return 1e-60, 1e-60 * math.exp(min(math.sqrt(max(f0, 0.0)) * self.h, 30.0))
+            return math.exp(min(math.sqrt(max(f0, 0.0)) * self.h, 30.0))
         power, delta, ztilde = self.frobenius
         big_s = power - 0.5
         b = -self.kfac * energy
@@ -138,89 +146,91 @@ class _Shooting:
             a[k] = acc / (k * (k + 2.0 * big_s))
 
         def series(r):
-            return r ** power * (1.0 + r * (a[1] + r * (a[2] + r * (a[3] + r * a[4]))))
+            return 1.0 + r * (a[1] + r * (a[2] + r * (a[3] + r * a[4])))
 
-        return series(float(self.x[i0])), series(float(self.x[i0 + 1]))
+        r0, r1 = float(self.x[i0]), float(self.x[i0 + 1])
+        return (r1 / r0) ** power * series(r1) / series(r0)
+
+    def _seed_right(self, energy: float, i1: int) -> float:
+        """y[i1 - 1] / y[i1]: a decaying tail in a barrier, else y[i1] = 0."""
+        f_end = self.kfac * (float(self.v[i1]) - energy)
+        if f_end > 0.0:
+            return math.exp(min(math.sqrt(f_end) * self.h, 30.0))
+        return math.inf
 
     def match_index(self, energy: float, i0: int, i1: int) -> int:
+        """Outermost classical turning point (the potential minimum if there is none)."""
         allowed = np.nonzero(self.v <= energy)[0]
-        if allowed.size == 0:
-            raise BracketError(f"no classically allowed region on the grid at E={energy}")
-        return int(min(max(int(allowed[-1]), i0 + 2), i1 - 2))
-
-    def _left(self, energy: float, i0: int, last: int, c, d, cap: int | None = None):
-        """Sweep from the seeds at i0, i0 + 1 up to y[last]."""
-        yp, yc = self._seed_left(energy, i0)
-        return _sweep(yp, yc, c[i0:last - 1], d[i0 + 1:last], c[i0 + 2:last + 1], cap)
-
-    def _right(self, energy: float, i1: int, last: int, c, d):
-        """Sweep from the seeds at i1, i1 - 1 down to y[last] (last >= 1)."""
-        f_end = self.kfac * (float(self.v[i1]) - energy)
-        yp, yc = 0.0, 1e-60
-        if f_end > 0.0:
-            yp, yc = 1e-60, 1e-60 * math.exp(min(math.sqrt(f_end) * self.h, 30.0))
-        return _sweep(yp, yc, c[i1:last + 1:-1], d[i1 - 1:last:-1], c[i1 - 2:last - 1:-1])
+        last = int(allowed[-1]) if allowed.size else int(np.argmin(self.v))
+        return min(max(last, i0 + 2), i1 - 2)
 
     def forward_nodes(self, energy: float, cap: int | None = None) -> int:
         """Sign changes of the forward solution: the count of mesh eigenvalues below E."""
         i0, i1 = self._bounds(energy)
-        c, d = self._coeffs(energy)
-        return self._left(energy, i0, i1, c, d, cap)[0]
+        c, u = self._coeffs(energy, i0, i1)
+        seed = self._seed_left(energy, i0) * float(c[1] / c[0])
+        return _sweep(seed, u[1:i1 - i0], cap)[0]
 
-    def mismatch(self, energy: float) -> float:
-        """Scaled log-derivative difference of the two one-sided solutions.
+    def probe(self, energy: float):
+        """Node count S(E) of the matched solution and the matching mismatch.
 
-        Strictly decreasing in E between its poles; zero exactly at the mesh
-        eigenvalue, independently of the finite-difference derivative used.
+        The left solution is swept up to the matching point ic and the right
+        one down to it.  Matching scales the right solution to agree in sign
+        with the left one at ic, so S is the left count up to ic plus the
+        right count down to ic; it changes only at the mismatch's poles.  The
+        mismatch is the scaled log-derivative difference
+        (y[ic+1] - y[ic-1])/y[ic] of the left solution minus that of the right
+        one: strictly decreasing in E between its poles and zero exactly at
+        the mesh eigenvalue.
         """
         i0, i1 = self._bounds(energy)
         ic = self.match_index(energy, i0, i1)
-        c, d = self._coeffs(energy)
-        _, lm1, l0, lp1 = self._left(energy, i0, ic + 1, c, d)
-        _, rp1, r0, rm1 = self._right(energy, i1, ic - 1, c, d)
-        if l0 == 0.0:
-            l0 = 1e-300
-        if r0 == 0.0:
-            r0 = 1e-300
-        return (lp1 - lm1) / l0 - (rp1 - rm1) / r0
-
-    def assembled_nodes(self, energy: float) -> int:
-        """Interior sign changes of the matched two-sided eigenfunction.
-
-        Matching scales the right solution to agree with the left one at ic,
-        so the junction adds no sign change: the count is the left count up
-        to ic plus the right count down to ic.
-        """
-        i0, i1 = self._bounds(energy)
-        ic = self.match_index(energy, i0, i1)
-        c, d = self._coeffs(energy)
-        return self._left(energy, i0, ic, c, d)[0] + self._right(energy, i1, ic, c, d)[0]
+        c, u = self._coeffs(energy, i0, i1)
+        k, n = ic - i0, i1 - i0
+        seed = self._seed_left(energy, i0) * float(c[1] / c[0])
+        n_left, r_left = _sweep(seed, u[1:k])  # F[ic] / F[ic - 1]
+        seed = self._seed_right(energy, i1) * float(c[n - 1] / c[n])
+        n_right, q_right = _sweep(seed, u[n - 1:k:-1])  # F[ic] / F[ic + 1]
+        # With F = c*y, both one-sided solutions obey c[ic+1] y[ic+1] +
+        # c[ic-1] y[ic-1] = (12 - 10 c[ic]) y[ic], which reduces the mismatch
+        # to the y[ic-1]/y[ic] ratios: the right one is U[ic] - 1/q_right.
+        cm, c0, cp = float(c[k - 1]), float(c[k]), float(c[k + 1])
+        gap = float(u[k]) - 1.0 / q_right - 1.0 / r_left
+        return n_left + n_right, (1.0 + cm / cp) * (c0 / cm) * gap
 
 
-def _sweep(yp: float, yc: float, c_back, d_here, c_ahead, cap: int | None = None):
-    """Numerov recurrence from the seeds (yp, yc) over (c behind, d here, c ahead) triples.
+def _sweep(ratio: float, coeffs, cap: int | None = None):
+    """Johnson's renormalized Numerov recurrence R[i] = U[i] - 1/R[i-1].
 
-    Returns the sign changes of the new values (stopping past ``cap``) and the
-    last three values, oldest first; callers use only signs and ratios, so all
-    three are rescaled together when the solution nears overflow.
+    R[i] = F[i+1]/F[i] with F = c*y, so a negative ratio is a node of y.
+    Starts from the seed ratio, runs over ``coeffs`` (an array of the U values
+    in sweep order) and returns the number of nodes met (stopping past
+    ``cap``) and the last ratio.  Ratios cannot overflow; an exact zero (y
+    lands on a mesh point) is stepped over as a tiny positive ratio, so the
+    node is counted on the next step.
     """
     nodes = 0
-    ym = yp
-    for cb, dh, ca in zip(c_back, d_here, c_ahead):
-        yn = (dh * yc - cb * yp) / ca
-        if yn * yc < 0.0:
-            nodes += 1
-            if cap is not None and nodes > cap:
-                break
-        if yn > _RESCALE_LIMIT or yn < -_RESCALE_LIMIT:
-            yn *= _RESCALE_FACTOR
-            yc *= _RESCALE_FACTOR
-            yp *= _RESCALE_FACTOR
-        ym, yp, yc = yp, yc, yn
-    return nodes, ym, yp, yc
+    for u in array("d", coeffs.tobytes()):  # iterates faster than the array itself
+        ratio = u - 1.0 / ratio
+        if ratio <= 0.0:
+            if ratio == 0.0:
+                ratio = 1e-300
+            else:
+                nodes += 1
+                if cap is not None and nodes > cap:
+                    break
+    return nodes, ratio
 
 
-def _locate(prob: _Shooting, target: int, bracket, tol_rel: float) -> float:
+def _locate(prob: _Shooting, target: int, bracket, tol_rel: float):
+    """Eigenvalue with ``target`` nodes inside ``bracket`` and its node count.
+
+    Every step probes one energy.  It bisects until both ends have the
+    matched node count S = target, which pins them inside the pole-free
+    window holding the eigenvalue; then it takes Illinois false-position
+    steps on the mismatch, kept a quarter tolerance inside the ends, and
+    bisects instead when three steps have not halved the bracket.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -235,65 +245,39 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float) -> float:
             f"node count {n_hi} at the upper bracket end does not reach {target + 1}; "
             "the bracket holds no such eigenvalue"
         )
+    s_lo = s_hi = None  # S at each end once probed; the mismatch is > 0 at lo, <= 0 at hi
+    f_lo = f_hi = 0.0
+    recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
+    moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
     iters = 2
-
-    def bisect(lo, hi, rel, above, what):
-        """Halve [lo, hi] to rel*max(1, |lo|, |hi|); above(E) means the eigenvalue is below E."""
-        nonlocal iters
-        while hi - lo > rel * max(1.0, abs(lo), abs(hi)):
-            if iters >= _MAX_ITER:
-                raise ConvergenceError(f"{what} exhausted {_MAX_ITER} iterations")
-            mid = 0.5 * (lo + hi)
-            iters += 1
-            if above(mid):
-                hi = mid
+    while (width := hi - lo) > (tol := tol_rel * max(1.0, abs(lo), abs(hi))):
+        if iters >= _MAX_ITER:
+            raise ConvergenceError(f"eigenvalue refinement exhausted {_MAX_ITER} iterations")
+        iters += 1
+        inside = s_lo == s_hi == target
+        secant = inside and width <= 0.5 * recent[0]
+        if secant:
+            energy = lo + width * f_lo / (f_lo - f_hi)
+            energy = min(max(energy, lo + 0.25 * tol), hi - 0.25 * tol)
+        else:
+            energy = 0.5 * (lo + hi)
+        recent = recent[1:] + [width] if inside else [math.inf] * 3
+        s, f = prob.probe(energy)
+        side = -1 if s < target or (s == target and f > 0.0) else 1
+        if secant and side == moved:  # Illinois: halve the value at the end that stays
+            if side < 0:
+                f_hi *= 0.5
             else:
-                lo = mid
-        return lo, hi
-
-    def nodes_above(energy):
-        return prob.forward_nodes(energy, cap=target + 1) > target
-
-    # Phase 1: bisect on the node count until the window is narrow enough for
-    # the mismatch function to be pole-free.
-    lo, hi = bisect(lo, hi, max(1e-3, 64.0 * tol_rel), nodes_above, "node bisection")
-    window = (lo, hi)
-    width = hi - lo
-
-    # Phase 2: straddle the mismatch zero, then bisect its sign.  The
-    # matching condition and the node flip locate the same mesh eigenvalue to
-    # within the boundary-truncation error, so if straddling fails we fall
-    # back to pure node bisection.
-    pure_nodes = False
-    f_lo = prob.mismatch(lo)
-    f_hi = prob.mismatch(hi)
-    iters += 2
-    shifts = 0
-    while not pure_nodes and (f_lo <= 0.0 or not math.isfinite(f_lo)):
-        hi, f_hi = lo, f_lo
-        lo -= width
-        shifts += 1
-        iters += 2
-        if shifts > 40 or prob.forward_nodes(lo, cap=target + 1) != target:
-            pure_nodes = True
-            break
-        f_lo = prob.mismatch(lo)
-    while not pure_nodes and (f_hi >= 0.0 or not math.isfinite(f_hi)):
-        lo, f_lo = hi, f_hi
-        hi += width
-        shifts += 1
-        iters += 2
-        if shifts > 40 or prob.forward_nodes(hi, cap=target + 2) != target + 1:
-            pure_nodes = True
-            break
-        f_hi = prob.mismatch(hi)
-
-    if pure_nodes:
-        lo, hi = bisect(*window, tol_rel, nodes_above, "node bisection")
-    else:
-        lo, hi = bisect(lo, hi, tol_rel, lambda e: not prob.mismatch(e) > 0.0,
-                        "mismatch bisection")
-    return 0.5 * (lo + hi)
+                f_lo *= 0.5
+        moved = side if secant else 0
+        if side < 0:
+            lo, s_lo, f_lo = energy, s, f
+        else:
+            hi, s_hi, f_hi = energy, s, f
+    energy = 0.5 * (lo + hi)
+    if s_lo == s_hi == target:
+        return energy, target
+    return energy, prob.probe(energy)[0]
 
 
 def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
@@ -309,15 +293,14 @@ def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> Or
     if target < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target}")
     fine = build(grid)
-    e_fine = _locate(fine, target, bracket, tol_rel)
-    nodes = fine.assembled_nodes(e_fine)
+    e_fine, nodes = _locate(fine, target, bracket, tol_rel)
 
     coarse = build(grid.halved())
     pad = max(1e-3 * max(1.0, abs(e_fine)), 1e4 * tol_rel * max(1.0, abs(e_fine)))
     try:
-        e_coarse = _locate(coarse, target, (e_fine - pad, e_fine + pad), tol_rel)
+        e_coarse = _locate(coarse, target, (e_fine - pad, e_fine + pad), tol_rel)[0]
     except BracketError:
-        e_coarse = _locate(coarse, target, bracket, tol_rel)
+        e_coarse = _locate(coarse, target, bracket, tol_rel)[0]
     estimate = abs(e_fine - e_coarse) / 15.0
     return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
                         richardson_error_estimate=estimate)
@@ -444,8 +427,8 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
 
 
 def _default_radial_grid(problem: RadialProblem, window_top: float) -> Grid1D:
-    """Rough mesh from the turning radius at the window top; pass an explicit
-    grid for precision work."""
+    """Mesh from the turning radius at the window top out past 30 decay lengths,
+    at a spacing of about 0.02; pass an explicit grid for precision work."""
     probe = np.geomspace(1e-4, 1e4, 4000)
     ks = 2.0 * problem.mass / problem.hbar ** 2
     af = angular_factor(problem.dim, problem.l, problem.beta)
@@ -456,8 +439,12 @@ def _default_radial_grid(problem: RadialProblem, window_top: float) -> Grid1D:
     allowed = probe[vs <= window_top]
     r_turn = float(allowed[-1]) if allowed.size else 10.0
     kappa = math.sqrt(ks * abs(window_top)) if window_top < 0.0 else math.sqrt(ks)
-    r_max = min(max(2.0 * r_turn, r_turn + 30.0 / max(kappa, 1e-3)), 300.0)
-    return Grid1D(0.0, r_max, 15001)
+    r_max = max(2.0 * r_turn, r_turn + 30.0 / max(kappa, 1e-3))
+    points = max(15001, math.ceil(r_max / 0.02) | 1)  # spacing about 0.02
+    if points > _MAX_DEFAULT_POINTS:
+        raise DomainError(f"the default radial grid would need {points} points to reach "
+                          f"r = {r_max:.6g}; pass grid= explicitly")
+    return Grid1D(0.0, r_max, points)
 
 
 # ---------------------------------------------------------------------------

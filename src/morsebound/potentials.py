@@ -52,7 +52,9 @@ class DegeneracyRecord:
     count: int
 
 
-def _check_n_max(n_max: int) -> None:
+def _check_tower(mass: float, hbar: float, n_max: int) -> None:
+    if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
+        raise DomainError(f"mass and hbar must be positive and finite, got {mass}, {hbar}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
 
@@ -66,7 +68,7 @@ def sho_spectrum(dim: int, l: int, beta: float, omega: float, mass: float,
     """
     if not 0.0 < omega < math.inf:
         raise DomainError(f"omega must be positive and finite, got {omega}")
-    _check_n_max(n_max)
+    _check_tower(mass, hbar, n_max)
     af = angular_factor(dim, l, beta)
     return [
         RadialState(n=n, l=l, dim=dim, S=af.S,
@@ -84,7 +86,7 @@ def coulomb_spectrum(dim: int, l: int, beta: float, z: float, mass: float,
     """
     if not -math.inf < z < 0.0:
         raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
-    _check_n_max(n_max)
+    _check_tower(mass, hbar, n_max)
     af = angular_factor(dim, l, beta)
     a = hbar * hbar / (mass * abs(z))
     rydberg = hbar * hbar / (2.0 * mass * a * a)
@@ -194,7 +196,7 @@ def pure_sho_levels(dim: int, omega: float, mass: float, hbar: float,
     """
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    _check_n_max(n_max)
+    _check_tower(mass, hbar, n_max)
     levels = []
     for big_n in range(n_max + 1):
         total = sum(degeneracy(dim, l).count for l in range(big_n % 2, big_n + 1, 2))

@@ -1,5 +1,6 @@
 """Shared test oracles: exact-series Laguerre evaluation, quantum-number
-chain enumeration, sign-change counting and quadrature overlaps."""
+chain enumeration, sign-change counting, quadrature overlaps and a
+product-form Numerov reference."""
 
 import math
 from fractions import Fraction
@@ -67,3 +68,40 @@ def morse_overlap(params, state_a, state_b, tol=1e-11):
 
 def radial_overlap(u_a, u_b, decay_scale, tol=1e-11):
     return integrate_halfline(lambda r: u_a(r) * u_b(r), decay_scale=decay_scale, tol=tol)
+
+
+def numerov_product(prob, energy):
+    """Plain product-form Numerov reference for a ``morsebound.oracle`` shooting problem.
+
+    Runs c[i+1] y[i+1] = (12 - 10 c[i]) y[i] - c[i-1] y[i-1] on y itself, from
+    the problem's own seeds, bounds and matching point, and returns the
+    forward node count, the matched node count (left count up to the matching
+    point plus right count down to it), the mismatch
+    (y[ic+1] - y[ic-1])/y[ic] of the left solution minus that of the right one,
+    and how often the live values had to be rescaled to stay finite.
+    """
+    i0, i1 = prob._bounds(energy)
+    ic = prob.match_index(energy, i0, i1)
+    c = (prob._base + prob._w * energy).tolist()
+    rescales = 0
+
+    def sweep(y0, y1, path):
+        nonlocal rescales
+        nodes, ym, yp, yc = 0, 0.0, y0, y1
+        for back, here, ahead in zip(path, path[1:], path[2:]):
+            yn = ((12.0 - 10.0 * c[here]) * yc - c[back] * yp) / c[ahead]
+            nodes += yn * yc < 0.0
+            ym, yp, yc = yp, yc, yn
+            if abs(yc) > 1e250:
+                ym, yp, yc = ym * 1e-250, yp * 1e-250, yc * 1e-250
+                rescales += 1
+        return nodes, ym, yp, yc
+
+    left = (1.0, prob._seed_left(energy, i0))
+    tail = prob._seed_right(energy, i1)
+    right = (0.0, 1.0) if math.isinf(tail) else (1.0, tail)
+    forward = sweep(*left, range(i0, i1 + 1))[0]
+    matched = sweep(*left, range(i0, ic + 1))[0] + sweep(*right, range(i1, ic - 1, -1))[0]
+    _, lm1, l0, lp1 = sweep(*left, range(i0, ic + 2))
+    _, rp1, r0, rm1 = sweep(*right, range(i1, ic - 2, -1))
+    return forward, matched, (lp1 - lm1) / l0 - (rp1 - rm1) / r0, rescales

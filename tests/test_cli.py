@@ -167,6 +167,13 @@ class TestVerifyCommand:
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"],
          {"MORSEBOUND_POINTS": "abc"}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1001"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "nan"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "-1"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"], {"MORSEBOUND_TOL": "nan"}),
+        (["spectrum", "--system", "sho", "--dim", "3", "--omega", "1", "--hbar", "nan"], {}),
+        (["spectrum", "--system", "coulomb", "--dim", "3", "--z", "-1", "--mass", "inf"], {}),
+        (["map", "--system", "sho", "--dim", "3", "--omega", "nan", "--energy", "2"], {}),
+        (["map", "--system", "coulomb", "--dim", "3", "--z", "-1", "--energy", "inf"], {}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,10 @@ class TestProblemValidation:
             radial(mass=0.0)
         with pytest.raises(DomainError):
             radial(hbar=-1.0)
+        for bad in (dict(mass=math.nan), dict(mass=math.inf), dict(hbar=math.nan),
+                    dict(hbar=math.inf), dict(z=math.nan), dict(z=-math.inf)):
+            with pytest.raises(DomainError):
+                radial(**bad)
 
     def test_all_named_deltas_construct(self):
         for delta in (2, -1, 0, -2):
@@ -129,6 +134,11 @@ class TestToMorse:
     def test_pairing_invariant(self):
         assert to_morse(radial(delta=2, z=0.5), 1.0).lam == 0.5
         assert to_morse(radial(delta=-1, z=-1.0), -1.0).lam == 1.0
+
+    def test_non_finite_energy_rejected(self):
+        for energy in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                to_morse(radial(delta=-1, z=-1.0), energy)
 
     def test_well_condition_iff_admissible(self):
         # oscillator: needs energy > 0 (z > 0 fixed by construction)

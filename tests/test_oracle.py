@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import numerov_product
+from morsebound import oracle
 from morsebound.errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from morsebound.langer import RadialProblem
 from morsebound.morse import MorseParams
+from morsebound.potentials import coulomb_spectrum
 from morsebound.oracle import (
     Grid1D,
     scan_spectrum,
@@ -82,6 +85,63 @@ class TestMorseOracle:
         grid = Grid1D(-3.0, 30.0, 6001)
         with pytest.raises(BracketError):
             solve_1d(morse_potential, grid, 0, 1.0, 1.0, (-2.0, -1.3))
+
+
+def harmonic_potential(x):
+    return 0.5 * x * x
+
+
+HYDROGEN_P = RadialProblem(dim=3, l=1, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
+
+
+class TestRatioKernel:
+    """The ratio kernel against the plain product-form recurrence in conftest."""
+
+    @pytest.mark.parametrize("build,grid,energies,stiff", [
+        (oracle._line_builder(morse_potential, 1.0, 1.0), Grid1D(-3.0, 30.0, 6001),
+         (-1.9, -1.5, -1.0, -0.6, -0.3, -0.05), False),
+        # A harmonic well in a wide box: the forward solution grows by about
+        # exp(800) through the left barrier, past the float range of y itself.
+        (oracle._line_builder(harmonic_potential, 1.0, 1.0), Grid1D(-40.0, 40.0, 8001),
+         (0.3, 1.2, 2.0, 3.7, 6.1), True),
+        (oracle._radial_builder(HYDROGEN_P), Grid1D(0.0, 60.0, 8001),
+         (-0.2, -0.1, -0.07, -0.04), False),
+    ])
+    def test_matches_the_product_form(self, build, grid, energies, stiff):
+        prob = build(grid)
+        for energy in energies:
+            forward, matched, mismatch, rescales = numerov_product(prob, energy)
+            assert (rescales > 0) == stiff
+            assert prob.forward_nodes(energy) == forward
+            nodes, value = prob.probe(energy)
+            assert nodes == matched
+            assert value == pytest.approx(mismatch, rel=1e-9)
+
+
+class TestRefinement:
+    def test_high_coulomb_state(self):
+        # D = 3, l = 2, n = 5: the window {S = 5} is narrow next to the bracket.
+        want = coulomb_spectrum(3, 2, 0.0, -1.0, 1.0, 1.0, 5)[5].energy
+        result = solve_coulomb(3, 2, 0.0, -1.0, 1.0, 1.0, 5)
+        assert result.eigenvalue == pytest.approx(want, rel=1e-8)
+        assert result.node_count == 5
+
+    def test_bracket_ends_past_mismatch_poles(self):
+        grid = Grid1D(-3.0, 30.0, 6001)
+        prob = oracle._line_builder(morse_potential, 1.0, 1.0)(grid)
+        lo, hi = -1.1, -0.01
+        # Both ends lie outside the pole-free window of state 1.
+        assert prob.probe(lo)[0] == 0 and prob.probe(hi)[0] == 2
+        result = solve_1d(morse_potential, grid, 1, 1.0, 1.0, (lo, hi))
+        assert result.eigenvalue == pytest.approx(-0.125, rel=1e-6)
+        assert result.node_count == 1
+
+    def test_bracket_reaching_below_the_potential_minimum(self):
+        # The first probes sit below the well bottom (-2), where no point of
+        # the mesh is classically allowed.
+        result = solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0, 1.0, 1.0, (-50.0, -0.5))
+        assert result.eigenvalue == pytest.approx(-1.125, rel=1e-6)
+        assert result.node_count == 0
 
 
 class TestInputChecks:
@@ -207,6 +267,22 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_spectrum(morse_potential, (0.0, -2.0), 5,
                           grid=Grid1D(-2.5, 30.0, 6001), mass=1.0, hbar=1.0)
+
+    def test_default_grid_reaches_past_r_300(self):
+        problem = RadialProblem(dim=3, l=2, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
+        levels = [st.energy for st in coulomb_spectrum(3, 2, 0.0, -1.0, 1.0, 1.0, 10)]
+        window = (0.5 * (levels[6] + levels[7]), 0.5 * (levels[9] + levels[10]))
+        results = scan_spectrum(problem, window, 5)
+        assert [r.node_count for r in results] == [7, 8, 9]
+        assert results[0].grid.x_max > 300.0
+        for result in results:
+            assert result.eigenvalue == pytest.approx(levels[result.node_count], rel=1e-8)
+
+    def test_default_grid_point_cap(self):
+        # A window top this close to threshold would need a mesh out to r = 4e4.
+        problem = RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
+        with pytest.raises(DomainError, match="grid="):
+            scan_spectrum(problem, (-0.6, -1e-7), 3)
 
     def test_no_warning_when_window_fits(self):
         grid = Grid1D(-2.5, 30.0, 6001)

@@ -48,6 +48,9 @@ class TestShoSpectrum:
             sho_spectrum(3, 0, 0.0, 1.0, 1.0, 1.0, -1)
         with pytest.raises(CriticalCouplingError):
             sho_spectrum(3, 0, -0.25, 1.0, 1.0, 1.0, 2)
+        for mass, hbar in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(DomainError):
+                sho_spectrum(3, 0, 0.0, 1.0, mass, hbar, 2)
 
 
 class TestCoulombSpectrum:
@@ -75,6 +78,9 @@ class TestCoulombSpectrum:
                 coulomb_spectrum(3, 0, 0.0, z, 1.0, 1.0, 2)
         with pytest.raises(CriticalCouplingError):
             coulomb_spectrum(2, 0, -1e-9, -1.0, 1.0, 1.0, 2)
+        for mass, hbar in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                coulomb_spectrum(3, 0, 0.0, -1.0, mass, hbar, 2)
 
 
 class TestEigenfunctions:
