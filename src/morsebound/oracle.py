@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +104,24 @@ class _Shooting:
         self.kfac = 2.0 * mass / (hbar * hbar)
         self._w = (self.h * self.h / 12.0) * self.kfac
         self._base = 1.0 - self._w * vs  # c(E) = base + w*E
+        # Every probe refills these in place, so a solve allocates no
+        # mesh-sized arrays after construction.
+        self._c = np.empty_like(self._base)
+        self._u = np.empty_like(self._base)
+        self._mask = np.empty(vs.shape, dtype=bool)
         # frobenius = (power, delta, ztilde) switches the left seed from the
         # generic barrier form to the regular r^(1/2+S) series at the origin.
         self.frobenius = frobenius
 
     def _coeffs(self, energy: float, i0: int, i1: int):
-        """Numerov factors c on [i0, i1] and the ratio coefficients U = 12/c - 10."""
-        c = self._base[i0:i1 + 1] + self._w * energy
-        return c, 12.0 / c - 10.0
+        """Numerov factors c on [i0, i1] and the ratio coefficients U = 12/c - 10.
+
+        Both are views of buffers that the next call overwrites.
+        """
+        c = np.add(self._base[i0:i1 + 1], self._w * energy, out=self._c[i0:i1 + 1])
+        u = np.divide(12.0, c, out=self._u[i0:i1 + 1])
+        u -= 10.0
+        return c, u
 
     def _bounds(self, energy: float):
         """First and last mesh index the recurrence may visit at this energy.
@@ -121,13 +130,13 @@ class _Shooting:
         {i : h^2*f_i/12 <= cap} is one contiguous block.
         """
         cutoff = energy + _BARRIER_CAP / self._w
-        idx = np.nonzero(self.v <= cutoff)[0]
-        if idx.size < 8:
+        inside = np.less_equal(self.v, cutoff, out=self._mask)
+        if np.count_nonzero(inside) < 8:
             raise BracketError(
                 "the mesh cannot represent this energy: the barrier is too stiff "
                 "almost everywhere (reduce the spacing or the box)"
             )
-        return int(idx[0]), int(idx[-1])
+        return int(inside.argmax()), _last_true(inside)
 
     def _seed_left(self, energy: float, i0: int) -> float:
         """y[i0 + 1] / y[i0] of the solution regular at the left end."""
@@ -160,8 +169,8 @@ class _Shooting:
 
     def match_index(self, energy: float, i0: int, i1: int) -> int:
         """Outermost classical turning point (the potential minimum if there is none)."""
-        allowed = np.nonzero(self.v <= energy)[0]
-        last = int(allowed[-1]) if allowed.size else int(np.argmin(self.v))
+        allowed = np.less_equal(self.v, energy, out=self._mask)
+        last = _last_true(allowed) if allowed.any() else int(np.argmin(self.v))
         return min(max(last, i0 + 2), i1 - 2)
 
     def forward_nodes(self, energy: float, cap: int | None = None) -> int:
@@ -199,18 +208,23 @@ class _Shooting:
         return n_left + n_right, (1.0 + cm / cp) * (c0 / cm) * gap
 
 
+def _last_true(mask: np.ndarray) -> int:
+    """Index of the last True entry of a boolean array with at least one."""
+    return mask.size - 1 - int(mask[::-1].argmax())
+
+
 def _sweep(ratio: float, coeffs, cap: int | None = None):
     """Johnson's renormalized Numerov recurrence R[i] = U[i] - 1/R[i-1].
 
     R[i] = F[i+1]/F[i] with F = c*y, so a negative ratio is a node of y.
-    Starts from the seed ratio, runs over ``coeffs`` (an array of the U values
-    in sweep order) and returns the number of nodes met (stopping past
-    ``cap``) and the last ratio.  Ratios cannot overflow; an exact zero (y
+    Starts from the seed ratio, runs over ``coeffs`` (an array or strided view
+    of the U values in sweep order) and returns the number of nodes met
+    (stopping past ``cap``) and the last ratio.  Ratios cannot overflow; an exact zero (y
     lands on a mesh point) is stepped over as a tiny positive ratio, so the
     node is counted on the next step.
     """
     nodes = 0
-    for u in array("d", coeffs.tobytes()):  # iterates faster than the array itself
+    for u in memoryview(coeffs):  # yields Python floats without a copy
         ratio = u - 1.0 / ratio
         if ratio <= 0.0:
             if ratio == 0.0:
