@@ -10,6 +10,11 @@ are the default; every state record is emitted with the schema
 so analytic and oracle runs can be diffed downstream.  Exit codes: 0 success,
 1 physics-domain or verification failure, 2 usage error.
 
+Counts are capped before anything is allocated, with exit 2 past a cap:
+``--nmax`` 10000, ``--samples`` 100000, ``--lmax`` and ``degeneracy --dim``
+1000.  A negative state index, a non-finite ``--min``/``--max`` and an oracle
+mesh past 1,250,001 points are domain errors (exit 1).
+
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
 MORSEBOUND_POINTS (default oracle grid points).
 """
@@ -22,6 +27,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +40,13 @@ from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum a
 
 _ENV_TOL = "MORSEBOUND_TOL"
 _ENV_POINTS = "MORSEBOUND_POINTS"
+
+# Caps on the counts the command line accepts.  d_l(D) for D, l <= 1000 has
+# at most about 600 digits, well inside what json and csv will print.
+_MAX_NMAX = 10_000
+_MAX_SAMPLES = 100_000
+_MAX_LMAX = 1000
+_MAX_DIM = 1000
 
 _STATE_COLUMNS = ["family", "dim", "n", "l", "beta", "S", "energy", "hbar", "mass", "provenance"]
 
@@ -56,187 +71,193 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_units(p):
-        p.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
-        p.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--system", required=True, choices=tuple(_SYSTEMS))
+    system.add_argument("--v1", type=float, help="Morse exp(-alpha x) coupling (< 0 for a well)")
+    system.add_argument("--v2", type=float, help="Morse exp(-2 alpha x) coupling (> 0 for a well)")
+    system.add_argument("--alpha", type=float, default=1.0,
+                        help="Morse inverse length (default 1)")
+    system.add_argument("--dim", type=int, help="spatial dimension D >= 2")
+    system.add_argument("--l", type=int, default=0, help="angular quantum number (default 0)")
+    system.add_argument("--beta", type=float, default=0.0,
+                        help="inverse-square coupling (default 0, the pure case)")
+    system.add_argument("--omega", type=float, help="oscillator frequency (> 0)")
+    system.add_argument("--z", type=float, help="Coulomb coupling (< 0 binds)")
+    system.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+    system.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
 
-    def add_system(p):
-        p.add_argument("--system", required=True, choices=("morse", "sho", "coulomb"))
-        p.add_argument("--v1", type=float, help="Morse exp(-alpha x) coupling (< 0 for a well)")
-        p.add_argument("--v2", type=float, help="Morse exp(-2 alpha x) coupling (> 0 for a well)")
-        p.add_argument("--alpha", type=float, default=1.0, help="Morse inverse length (default 1)")
-        p.add_argument("--dim", type=int, help="spatial dimension D >= 2")
-        p.add_argument("--l", type=int, default=0, help="angular quantum number (default 0)")
-        p.add_argument("--beta", type=float, default=0.0,
-                       help="inverse-square coupling (default 0, the pure case)")
-        p.add_argument("--omega", type=float, help="oscillator frequency (> 0)")
-        p.add_argument("--z", type=float, help="Coulomb coupling (< 0 binds)")
-        add_units(p)
-
-    sp = sub.add_parser("spectrum", help="bound-state energies")
-    add_system(sp)
+    sp = sub.add_parser("spectrum", parents=[system], help="bound-state energies")
     sp.add_argument("--nmax", type=int, default=4, help="highest radial index (default 4)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    wf = sub.add_parser("wavefunction", help="sample one eigenfunction as CSV")
-    add_system(wf)
+    wf = sub.add_parser("wavefunction", parents=[system], help="sample one eigenfunction as CSV")
     wf.add_argument("--n", type=int, default=0, help="state index (default 0)")
     wf.add_argument("--min", type=float, required=True, dest="lo", help="first sample point")
     wf.add_argument("--max", type=float, required=True, dest="hi", help="last sample point")
     wf.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
 
-    mp = sub.add_parser("map", help="Morse image of a radial problem at a trial energy")
-    add_system(mp)
+    mp = sub.add_parser("map", parents=[system],
+                        help="Morse image of a radial problem at a trial energy")
     mp.add_argument("--energy", type=float, required=True, help="trial energy")
-    mp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    vf = sub.add_parser("verify", help="compare analytic energies against the Numerov oracle")
-    add_system(vf)
+    vf = sub.add_parser("verify", parents=[system],
+                        help="compare analytic energies against the Numerov oracle")
     vf.add_argument("--n", type=int, action="append",
                     help="state index to verify (repeatable; default 0)")
     vf.add_argument("--tol", type=float, default=None,
                     help="relative tolerance (default MORSEBOUND_TOL or 1e-6)")
     vf.add_argument("--points", type=int, default=None,
                     help="oracle grid points (default MORSEBOUND_POINTS or per-system)")
-    vf.add_argument("--format", choices=("json", "csv"), default="json")
 
     dg = sub.add_parser("degeneracy", help="hyperspherical degeneracy table d_l(D)")
     dg.add_argument("--dim", type=int, required=True)
     dg.add_argument("--lmax", type=int, default=5)
-    dg.add_argument("--format", choices=("json", "csv"), default="json")
 
+    for p in (sp, mp, vf, dg):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
-def _require(parser_error, args, names):
-    for name in names:
+@dataclass(frozen=True)
+class _System:
+    """What the subcommands need of one physical system, read from the parsed ``args``.
+
+    The callables look the library up by its module-level names when they run,
+    so a wrapper installed on those names (the benchmark's tracer) sees the calls.
+    """
+
+    flags: tuple[str, ...]  # flags the system cannot do without
+    spectrum: Callable  # (args, n_max) -> closed-form states 0..n_max (Morse: all)
+    label: Callable  # (args, state) -> (family, dim, l, beta, S) of its record
+    wave: Callable  # (args, state) -> the eigenfunction x -> u(x)
+    solve: Callable  # (args, n, **points) -> oracle.OracleResult of state n
+    radial: Callable | None = None  # args -> (delta, z) for map; None for the Morse well
+
+
+def _morse_params(args) -> MorseParams:
+    return MorseParams(v1=args.v1, v2=args.v2, alpha=args.alpha, mass=args.mass, hbar=args.hbar)
+
+
+def _radial_label(args, state):
+    return state.family, state.dim, state.l, args.beta, state.S
+
+
+_SYSTEMS = {
+    "morse": _System(
+        flags=("v1", "v2"),
+        spectrum=lambda a, n_max: morse_spectrum(_morse_params(a)),
+        label=lambda a, st: ("morse", 1, None, None, st.s),
+        wave=lambda a, st: partial(morse_eigenfunction, _morse_params(a), st),
+        solve=lambda a, n, **kw: oracle.solve_morse(_morse_params(a), n, **kw),
+    ),
+    "sho": _System(
+        flags=("dim", "omega"),
+        spectrum=lambda a, n_max: potentials.sho_spectrum(
+            a.dim, a.l, a.beta, a.omega, a.mass, a.hbar, n_max),
+        label=_radial_label,
+        wave=lambda a, st: partial(potentials.sho_eigenfunction, st, a.omega, a.mass, a.hbar),
+        solve=lambda a, n, **kw: oracle.solve_sho(
+            a.dim, a.l, a.beta, a.omega, a.mass, a.hbar, n, **kw),
+        radial=lambda a: (2, 0.5 * a.mass * a.omega ** 2),
+    ),
+    "coulomb": _System(
+        flags=("dim", "z"),
+        spectrum=lambda a, n_max: potentials.coulomb_spectrum(
+            a.dim, a.l, a.beta, a.z, a.mass, a.hbar, n_max),
+        label=_radial_label,
+        wave=lambda a, st: partial(potentials.coulomb_eigenfunction, st, a.z, a.mass, a.hbar),
+        solve=lambda a, n, **kw: oracle.solve_coulomb(
+            a.dim, a.l, a.beta, a.z, a.mass, a.hbar, n, **kw),
+        radial=lambda a: (-1, a.z),
+    ),
+}
+
+
+def _system(args, parser) -> _System:
+    """The table entry of ``--system``, once its required flags are present."""
+    system = _SYSTEMS[args.system]
+    for name in system.flags:
         if getattr(args, name) is None:
-            parser_error(f"--system {args.system} requires --{name}")
+            parser.error(f"--system {args.system} requires --{name}")
+    return system
 
 
-def _state_record(family, dim, n, l, beta, s_value, energy, hbar, mass,
-                  provenance="analytic"):
+def _state(args, n: int):
+    """Closed-form state n of the system in ``args``."""
+    if n < 0:
+        raise DomainError(f"state index must be >= 0, got {n}")
+    states = _SYSTEMS[args.system].spectrum(args, n)
+    if n >= len(states):
+        raise DomainError(f"state {n} does not exist; the well holds {len(states)}")
+    return states[n]
+
+
+def _record(args, state, energy=None, provenance="analytic"):
+    family, dim, l, beta, s_value = _SYSTEMS[args.system].label(args, state)
     return {
         "family": family,
         "dim": dim,
-        "n": n,
+        "n": state.n,
         "l": l,
         "beta": beta,
         "S": s_value,
-        "energy": energy,
-        "units": {"hbar": hbar, "mass": mass},
+        "energy": state.energy if energy is None else energy,
+        "units": {"hbar": args.hbar, "mass": args.mass},
         "provenance": provenance,
     }
 
 
 def _flat_row(record):
-    return [
-        record["family"], record["dim"], record["n"], record["l"], record["beta"],
-        record["S"], record["energy"], record["units"]["hbar"], record["units"]["mass"],
-        record["provenance"],
-    ]
+    flat = {**record, **record["units"]}
+    return [flat[key] for key in _STATE_COLUMNS]
 
 
-def _emit_states(args, payload, out):
+def _emit(args, payload, header, rows):
+    """Print ``payload`` as JSON, or ``header`` and then ``rows`` as CSV."""
     if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        print(json.dumps(payload, indent=2))
     else:
-        writer = csv.writer(out)
-        writer.writerow(_STATE_COLUMNS)
-        for record in payload["states"]:
-            writer.writerow(_flat_row(record))
-
-
-def _analytic_states(args):
-    """State records plus the callables needed to re-evaluate them."""
-    if args.system == "morse":
-        params = MorseParams(v1=args.v1, v2=args.v2, alpha=args.alpha,
-                             mass=args.mass, hbar=args.hbar)
-        return [
-            _state_record("morse", 1, st.n, None, None, st.s, st.energy,
-                          args.hbar, args.mass)
-            for st in morse_spectrum(params)
-        ]
-    if args.system == "sho":
-        states = potentials.sho_spectrum(args.dim, args.l, args.beta, args.omega,
-                                         args.mass, args.hbar, args.nmax)
-    else:
-        states = potentials.coulomb_spectrum(args.dim, args.l, args.beta, args.z,
-                                             args.mass, args.hbar, args.nmax)
-    return [
-        _state_record(st.family, st.dim, st.n, st.l, args.beta, st.S, st.energy,
-                      args.hbar, args.mass)
-        for st in states
-    ]
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_spectrum(args, parser) -> int:
-    if args.system == "morse":
-        _require(parser.error, args, ("v1", "v2"))
-    elif args.system == "sho":
-        _require(parser.error, args, ("dim", "omega"))
-    else:
-        _require(parser.error, args, ("dim", "z"))
-    records = _analytic_states(args)
+    if args.nmax > _MAX_NMAX:
+        parser.error(f"--nmax must be at most {_MAX_NMAX}")
+    states = _system(args, parser).spectrum(args, args.nmax)
     payload = {
         "command": "spectrum",
         "system": args.system,
         "params": {k: getattr(args, k) for k in
                    ("v1", "v2", "alpha", "dim", "l", "beta", "omega", "z", "mass", "hbar")
                    if getattr(args, k) is not None},
-        "states": records,
+        "states": [_record(args, st) for st in states],
     }
-    _emit_states(args, payload, sys.stdout)
+    _emit(args, payload, _STATE_COLUMNS, map(_flat_row, payload["states"]))
     return 0
 
 
 def _cmd_wavefunction(args, parser) -> int:
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
+    if not 2 <= args.samples <= _MAX_SAMPLES:
+        parser.error(f"--samples must be between 2 and {_MAX_SAMPLES}")
+    system = _system(args, parser)
+    if system.radial and args.lo < 0.0:
+        parser.error("radial sampling requires --min >= 0")
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise DomainError(f"--min and --max must be finite, got {args.lo} and {args.hi}")
+    u = system.wave(args, _state(args, args.n))
     xs = np.linspace(args.lo, args.hi, args.samples)
-    if args.system == "morse":
-        _require(parser.error, args, ("v1", "v2"))
-        params = MorseParams(v1=args.v1, v2=args.v2, alpha=args.alpha,
-                             mass=args.mass, hbar=args.hbar)
-        states = morse_spectrum(params)
-        if args.n >= len(states):
-            raise DomainError(f"state {args.n} does not exist; the well holds {len(states)}")
-        values = [morse_eigenfunction(params, states[args.n], float(x)) for x in xs]
-    elif args.system == "sho":
-        _require(parser.error, args, ("dim", "omega"))
-        if args.lo < 0.0:
-            parser.error("radial sampling requires --min >= 0")
-        state = potentials.sho_spectrum(args.dim, args.l, args.beta, args.omega,
-                                        args.mass, args.hbar, args.n)[args.n]
-        values = [potentials.sho_eigenfunction(state, args.omega, args.mass,
-                                               args.hbar, float(x)) for x in xs]
-    else:
-        _require(parser.error, args, ("dim", "z"))
-        if args.lo < 0.0:
-            parser.error("radial sampling requires --min >= 0")
-        state = potentials.coulomb_spectrum(args.dim, args.l, args.beta, args.z,
-                                            args.mass, args.hbar, args.n)[args.n]
-        values = [potentials.coulomb_eigenfunction(state, args.z, args.mass,
-                                                   args.hbar, float(x)) for x in xs]
+    rows = [[repr(float(x)), repr(float(u(float(x))))] for x in xs]
     writer = csv.writer(sys.stdout)
     writer.writerow(["r_or_x", "u_value"])
-    for x, u in zip(xs, values):
-        writer.writerow([repr(float(x)), repr(float(u))])
+    writer.writerows(rows)
     return 0
 
 
 def _cmd_map(args, parser) -> int:
-    if args.system == "morse":
+    if _SYSTEMS[args.system].radial is None:
         parser.error("--system map applies to the radial families (sho or coulomb)")
-    if args.system == "sho":
-        _require(parser.error, args, ("dim", "omega"))
-        z = 0.5 * args.mass * args.omega ** 2
-        delta = 2
-    else:
-        _require(parser.error, args, ("dim", "z"))
-        z = args.z
-        delta = -1
+    delta, z = _system(args, parser).radial(args)
     problem = RadialProblem(dim=args.dim, l=args.l, beta=args.beta, delta=delta,
                             z=z, mass=args.mass, hbar=args.hbar)
     af = angular_factor(args.dim, args.l, args.beta)
@@ -260,13 +281,8 @@ def _cmd_map(args, parser) -> int:
         "origin_exponent": 0.5 + af.S,
         "has_well": image.v1 < 0.0 < image.v2,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        keys = [k for k in payload if k != "command"]
-        writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
+    keys = [k for k in payload if k != "command"]
+    _emit(args, payload, keys, [[payload[k] for k in keys]])
     return 0
 
 
@@ -275,96 +291,48 @@ def _cmd_verify(args, parser) -> int:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"verify tolerance must be positive and finite, got {tol}")
     points = args.points if args.points is not None else _env_number(_ENV_POINTS, int, None)
-    indices = sorted(set(args.n)) if args.n else [0]
+    kwargs = {"points": points} if points else {}
+    system = _system(args, parser)
 
-    rows = []
-    if args.system == "morse":
-        _require(parser.error, args, ("v1", "v2"))
-        params = MorseParams(v1=args.v1, v2=args.v2, alpha=args.alpha,
-                             mass=args.mass, hbar=args.hbar)
-        states = morse_spectrum(params)
-        for n in indices:
-            if n >= len(states):
-                raise DomainError(f"state {n} does not exist; the well holds {len(states)}")
-            kwargs = {"points": points} if points else {}
-            result = oracle.solve_morse(params, n, **kwargs)
-            rows.append((_state_record("morse", 1, n, None, None, states[n].s,
-                                       states[n].energy, args.hbar, args.mass), result))
-    else:
-        if args.system == "sho":
-            _require(parser.error, args, ("dim", "omega"))
-        else:
-            _require(parser.error, args, ("dim", "z"))
-        for n in indices:
-            kwargs = {"points": points} if points else {}
-            if args.system == "sho":
-                state = potentials.sho_spectrum(args.dim, args.l, args.beta, args.omega,
-                                                args.mass, args.hbar, n)[n]
-                result = oracle.solve_sho(args.dim, args.l, args.beta, args.omega,
-                                          args.mass, args.hbar, n, **kwargs)
-            else:
-                state = potentials.coulomb_spectrum(args.dim, args.l, args.beta, args.z,
-                                                    args.mass, args.hbar, n)[n]
-                result = oracle.solve_coulomb(args.dim, args.l, args.beta, args.z,
-                                              args.mass, args.hbar, n, **kwargs)
-            rows.append((_state_record(state.family, state.dim, state.n, state.l,
-                                       args.beta, state.S, state.energy,
-                                       args.hbar, args.mass), result))
-
-    rows.sort(key=lambda item: (item[0]["l"] if item[0]["l"] is not None else 0,
-                                item[0]["n"]))
     checks = []
-    all_pass = True
-    for record, result in rows:
-        deviation = abs(result.eigenvalue - record["energy"]) / max(abs(record["energy"]), 1e-300)
-        ok = deviation <= tol
-        all_pass = all_pass and ok
-        oracle_record = dict(record)
-        oracle_record["energy"] = result.eigenvalue
-        oracle_record["provenance"] = "oracle"
+    for n in sorted(set(args.n)) if args.n else [0]:
+        state = _state(args, n)
+        result = system.solve(args, n, **kwargs)
+        deviation = abs(result.eigenvalue - state.energy) / max(abs(state.energy), 1e-300)
         checks.append({
-            "analytic": record,
-            "oracle": oracle_record,
+            "analytic": _record(args, state),
+            "oracle": _record(args, state, result.eigenvalue, "oracle"),
             "node_count": result.node_count,
             "richardson_error_estimate": result.richardson_error_estimate,
             "relative_deviation": deviation,
-            "pass": ok,
+            "pass": deviation <= tol,
         })
     payload = {
         "command": "verify",
         "system": args.system,
         "tolerance": tol,
-        "all_pass": all_pass,
+        "all_pass": all(check["pass"] for check in checks),
         "checks": checks,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_STATE_COLUMNS + ["oracle_energy", "relative_deviation", "pass"])
-        for check in checks:
-            writer.writerow(_flat_row(check["analytic"])
-                            + [check["oracle"]["energy"], check["relative_deviation"],
-                               check["pass"]])
-    return 0 if all_pass else 1
+    _emit(args, payload, _STATE_COLUMNS + ["oracle_energy", "relative_deviation", "pass"],
+          (_flat_row(check["analytic"])
+           + [check["oracle"]["energy"], check["relative_deviation"], check["pass"]]
+           for check in checks))
+    return 0 if payload["all_pass"] else 1
 
 
 def _cmd_degeneracy(args, parser) -> int:
-    if args.lmax < 0:
-        parser.error("--lmax must be >= 0")
-    records = [potentials.degeneracy(args.dim, l) for l in range(args.lmax + 1)]
-    if args.format == "json":
-        payload = {
-            "command": "degeneracy",
-            "dim": args.dim,
-            "rows": [{"l": rec.l, "count": rec.count} for rec in records],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["l", "count"])
-        for rec in records:
-            writer.writerow([rec.l, rec.count])
+    if not 0 <= args.lmax <= _MAX_LMAX:
+        parser.error(f"--lmax must be between 0 and {_MAX_LMAX}")
+    if args.dim > _MAX_DIM:
+        parser.error(f"--dim must be at most {_MAX_DIM}")
+    payload = {
+        "command": "degeneracy",
+        "dim": args.dim,
+        "rows": [{"l": l, "count": potentials.degeneracy(args.dim, l).count}
+                 for l in range(args.lmax + 1)],
+    }
+    _emit(args, payload, ["l", "count"], (row.values() for row in payload["rows"]))
     return 0
 
 

@@ -47,8 +47,9 @@ __all__ = [
 ]
 
 _DEFAULT_TOL_REL = 1e-10
-# Largest mesh scan_spectrum builds on its own: r_max = 25000 at spacing 0.02.
-_MAX_DEFAULT_POINTS = 1_250_001
+# Largest mesh any solve accepts: the default radial grid's r_max = 25000 at
+# spacing 0.02.  A probe keeps about six mesh-sized float arrays alive.
+_MAX_POINTS = 1_250_001
 _MAX_ITER = 200
 # Integration starts where h^2*f/12 stays below this cap: past it the Numerov
 # factor 1 - h^2*f/12 turns negative and the recurrence alternates signs,
@@ -300,6 +301,9 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
     if grid.points < 1999:  # the doubled-spacing mesh needs Grid1D's 1000 points
         raise DomainError("a solve needs at least 1999 grid points (it is repeated "
                           f"with doubled spacing), got {grid.points}")
+    if grid.points > _MAX_POINTS:
+        raise DomainError(f"a solve takes at most {_MAX_POINTS} grid points, got "
+                          f"{grid.points}; pass a coarser grid= or fewer points")
 
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> OracleResult:
@@ -455,9 +459,6 @@ def _default_radial_grid(problem: RadialProblem, window_top: float) -> Grid1D:
     kappa = math.sqrt(ks * abs(window_top)) if window_top < 0.0 else math.sqrt(ks)
     r_max = max(2.0 * r_turn, r_turn + 30.0 / max(kappa, 1e-3))
     points = max(15001, math.ceil(r_max / 0.02) | 1)  # spacing about 0.02
-    if points > _MAX_DEFAULT_POINTS:
-        raise DomainError(f"the default radial grid would need {points} points to reach "
-                          f"r = {r_max:.6g}; pass grid= explicitly")
     return Grid1D(0.0, r_max, points)
 
 

@@ -170,20 +170,18 @@ def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float
 
 
 def degeneracy(dim: int, l: int) -> DegeneracyRecord:
-    """Essential degeneracy d_l(D) = (D+2l-2)*(D+l-3)! / (l!*(D-2)!).
+    """Essential degeneracy d_l(D) = C(D+l-1, l) - C(D+l-3, l-2).
 
-    For D = 2, l = 0 the factorial formula degenerates and the count is 1
-    (the constant harmonic on the circle), consistent with enumerating the
-    quantum-number chains.
+    These are the homogeneous polynomials of degree l in D variables less
+    those of the form r^2 times degree l-2 (none for l < 2).  It equals
+    (D+2l-2)*(D+l-3)! / (l!*(D-2)!) wherever that is defined, and gives 1
+    for D = 2, l = 0 (the constant harmonic on the circle).
     """
     if dim < 2:
         raise DomainError(f"dimension must be >= 2, got {dim}")
     if l < 0:
         raise DomainError(f"angular quantum number must be >= 0, got {l}")
-    if dim == 2 and l == 0:
-        return DegeneracyRecord(l=0, dim=2, count=1)
-    numerator = (dim + 2 * l - 2) * math.factorial(dim + l - 3)
-    count = numerator // (math.factorial(l) * math.factorial(dim - 2))
+    count = math.comb(dim + l - 1, l) - (math.comb(dim + l - 3, l - 2) if l >= 2 else 0)
     return DegeneracyRecord(l=l, dim=dim, count=count)
 
 

@@ -2,8 +2,7 @@
 
 Everything here is scalar arithmetic with no dependencies beyond the standard
 library.  The generalized Laguerre recurrence is the building block of every
-bound-state eigenfunction in the package; the terminating Kummer series is
-kept as an independent cross-check on it; the double-exponential quadrature
+bound-state eigenfunction in the package; the double-exponential quadrature
 supplies the numerical side of every normalization and orthogonality test.
 """
 
@@ -13,7 +12,7 @@ import math
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["laguerre", "log_gamma", "kummer_m_poly", "integrate_halfline"]
+__all__ = ["laguerre", "log_gamma", "integrate_halfline"]
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:
@@ -90,25 +89,6 @@ def log_gamma(x: float) -> float:
         acc += coeff / (xm1 + k)
     t = xm1 + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def kummer_m_poly(n: int, b: float, z: float) -> float:
-    """Terminating confluent hypergeometric series M(-n, b, z).
-
-    With a non-positive integer first argument the Kummer series truncates to
-    a degree-n polynomial proportional to L_n^(b-1)(z); it is retained purely
-    as a cross-check on :func:`laguerre`.
-    """
-    if n < 0:
-        raise DomainError(f"series order must be non-negative, got {n}")
-    if b <= 0.0 and float(b).is_integer():
-        raise DomainError(f"Kummer parameter b must not be a non-positive integer, got {b}")
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        term *= -(n - k) * z / ((b + k) * (k + 1.0))
-        total += term
-    return total
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10,

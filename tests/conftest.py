@@ -1,10 +1,12 @@
-"""Shared test oracles: exact-series Laguerre evaluation, quantum-number
-chain enumeration, sign-change counting, quadrature overlaps and a
-product-form Numerov reference."""
+"""Shared test oracles: exact-series Laguerre evaluation, the terminating
+Kummer series, quantum-number chain enumeration, the factorial degeneracy
+formula, sign-change counting, quadrature overlaps and a product-form
+Numerov reference."""
 
 import math
 from fractions import Fraction
 
+from morsebound.errors import DomainError
 from morsebound.morse import eigenfunction as morse_eigenfunction
 from morsebound.specfun import integrate_halfline
 
@@ -27,6 +29,25 @@ def laguerre_series(n, alpha, x):
     return float(total)
 
 
+def kummer_m_poly(n, b, z):
+    """Terminating confluent hypergeometric series M(-n, b, z).
+
+    With a non-positive integer first argument the Kummer series truncates to
+    a degree-n polynomial proportional to L_n^(b-1)(z), an independent
+    cross-check on ``morsebound.specfun.laguerre``.
+    """
+    if n < 0:
+        raise DomainError(f"series order must be non-negative, got {n}")
+    if b <= 0.0 and float(b).is_integer():
+        raise DomainError(f"Kummer parameter b must not be a non-positive integer, got {b}")
+    total = 1.0
+    term = 1.0
+    for k in range(n):
+        term *= -(n - k) * z / ((b + k) * (k + 1.0))
+        total += term
+    return total
+
+
 def chain_count(dim, l):
     """Brute-force count of hyperspherical quantum-number chains for (D, l).
 
@@ -38,6 +59,14 @@ def chain_count(dim, l):
     if dim == 3:
         return 2 * l + 1
     return sum(chain_count(dim - 1, k) for k in range(l + 1))
+
+
+def factorial_degeneracy(dim, l):
+    """d_l(D) = (D+2l-2)*(D+l-3)! / (l!*(D-2)!), and 1 for D = 2, l = 0 where it degenerates."""
+    if dim == 2 and l == 0:
+        return 1
+    return (dim + 2 * l - 2) * math.factorial(dim + l - 3) // (
+        math.factorial(l) * math.factorial(dim - 2))
 
 
 def count_sign_changes(values):

@@ -6,6 +6,15 @@ import math
 import pytest
 
 from morsebound.cli import main
+from morsebound.langer import RadialProblem, to_morse
+from morsebound.morse import MorseParams, eigenfunction as morse_eigenfunction
+from morsebound.morse import spectrum as morse_spectrum
+from morsebound.potentials import (
+    coulomb_eigenfunction,
+    coulomb_spectrum,
+    sho_eigenfunction,
+    sho_spectrum,
+)
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +183,16 @@ class TestVerifyCommand:
         (["spectrum", "--system", "coulomb", "--dim", "3", "--z", "-1", "--mass", "inf"], {}),
         (["map", "--system", "sho", "--dim", "3", "--omega", "nan", "--energy", "2"], {}),
         (["map", "--system", "coulomb", "--dim", "3", "--z", "-1", "--energy", "inf"], {}),
+        (["wavefunction", "--system", "morse", "--v1", "-8", "--v2", "8", "--n", "-1",
+          "--min", "-2", "--max", "10"], {}),
+        (["wavefunction", "--system", "coulomb", "--dim", "3", "--z", "-1",
+          "--min", "nan", "--max", "3"], {}),
+        (["wavefunction", "--system", "coulomb", "--dim", "3", "--z", "-1",
+          "--min", "0", "--max", "inf"], {}),
+        # one point past the oracle's mesh cap: rejected before the mesh is built
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1250003"], {}),
+        # s = 1e-4: the default Morse mesh would need 70,005,771 points
+        (["verify", "--system", "morse", "--v1", "-6.0004", "--v2", "8", "--n", "1"], {}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
@@ -182,7 +201,7 @@ class TestVerifyCommand:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
-        assert "NaN" not in out
+        assert "nan" not in out.lower()
 
     def test_env_points_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MORSEBOUND_POINTS", "6001")
@@ -217,3 +236,90 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["degeneracy", "--dim", "3", "--frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--system", "sho", "--dim", "3", "--omega", "1", "--nmax", "10001"],
+        ["wavefunction", "--system", "coulomb", "--dim", "3", "--z", "-1",
+         "--min", "0", "--max", "3", "--samples", "100001"],
+        ["degeneracy", "--dim", "3", "--lmax", "1001"],
+        ["degeneracy", "--dim", "1001", "--lmax", "2"],
+        ["degeneracy", "--dim", "100000", "--lmax", "10000"],  # d_l(D) past 4300 digits
+    ])
+    def test_count_past_its_cap(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_largest_degeneracy_table_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "degeneracy", "--dim", "1000", "--lmax", "1000")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1001
+        assert rows[2]["count"] == 1002 * 999 // 2  # d_2(D) = (D+2)(D-1)/2
+
+
+# Flags of one instance per system, and the same instance built in the library.
+SYSTEM_FLAGS = {
+    "morse": ["--v1", "-8", "--v2", "8", "--alpha", "0.5"],
+    "sho": ["--dim", "3", "--l", "1", "--beta", "0.75", "--omega", "1.2"],
+    "coulomb": ["--dim", "4", "--l", "1", "--beta", "0.5", "--z", "-1.5"],
+}
+
+
+def direct(system):
+    """(n, S, energy) of the states `spectrum --nmax 2` prints, and u(n, x)."""
+    if system == "morse":
+        params = MorseParams(v1=-8.0, v2=8.0, alpha=0.5, mass=1.0, hbar=1.0)
+        states = morse_spectrum(params)
+        return ([(st.n, st.s, st.energy) for st in states],
+                lambda n, x: morse_eigenfunction(params, states[n], x))
+    if system == "sho":
+        states = sho_spectrum(3, 1, 0.75, 1.2, 1.0, 1.0, 2)
+        return ([(st.n, st.S, st.energy) for st in states],
+                lambda n, r: sho_eigenfunction(states[n], 1.2, 1.0, 1.0, r))
+    states = coulomb_spectrum(4, 1, 0.5, -1.5, 1.0, 1.0, 2)
+    return ([(st.n, st.S, st.energy) for st in states],
+            lambda n, r: coulomb_eigenfunction(states[n], -1.5, 1.0, 1.0, r))
+
+
+@pytest.mark.parametrize("system", list(SYSTEM_FLAGS))
+@pytest.mark.parametrize("command", ["spectrum", "wavefunction", "map", "verify"])
+def test_every_command_on_every_system(capsys, command, system):
+    states, u = direct(system)
+    argv = [command, "--system", system, *SYSTEM_FLAGS[system]]
+    if command == "spectrum":
+        code, out, _ = run_cli(capsys, *argv, "--nmax", "2")
+        assert code == 0
+        assert [(st["n"], st["S"], st["energy"]) for st in json.loads(out)["states"]] == states
+    elif command == "verify":
+        code, out, _ = run_cli(capsys, *argv, "--n", "1", "--n", "0")
+        assert code == 0
+        for check, (n, s_value, energy) in zip(json.loads(out)["checks"], states[:2], strict=True):
+            analytic, oracle = check["analytic"], check["oracle"]
+            assert (analytic["n"], analytic["S"], analytic["energy"]) == (n, s_value, energy)
+            assert (oracle["n"], oracle["S"], oracle["provenance"]) == (n, s_value, "oracle")
+            assert oracle["energy"] == pytest.approx(energy, rel=1e-6)
+            assert check["node_count"] == n
+    elif command == "wavefunction":
+        lo = "-3" if system == "morse" else "0"
+        code, out, _ = run_cli(capsys, *argv, "--n", "1", "--min", lo, "--max", "8",
+                               "--samples", "9")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 9
+        assert [float(v) for _, v in rows] == [u(1, float(x)) for x, _ in rows]
+    elif system == "morse":
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--energy", "1"])
+        assert err.value.code == 2
+    else:
+        delta, z, energy = (2, 0.5 * 1.2 ** 2, 2.0) if system == "sho" else (-1, -1.5, -0.3)
+        code, out, _ = run_cli(capsys, *argv, "--energy", str(energy))
+        assert code == 0
+        payload = json.loads(out)
+        dim, l, beta = (3, 1, 0.75) if system == "sho" else (4, 1, 0.5)
+        image = to_morse(RadialProblem(dim=dim, l=l, beta=beta, delta=delta, z=z,
+                                       mass=1.0, hbar=1.0), energy)
+        assert (payload["lambda"], payload["v1"], payload["v2"]) == (image.lam, image.v1, image.v2)
+        assert payload["S"] == states[0][1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="got 1998"):
             solve_radial(RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0, mass=1.0,
                                        hbar=1.0), Grid1D(0.0, 30.0, 1998), 0, (-0.6, -0.4))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 0, points=oracle._MAX_POINTS + 2),
+        lambda: solve_1d(morse_potential, Grid1D(-2.5, 30.0, oracle._MAX_POINTS + 2), 0,
+                         1.0, 1.0, (-2.0, -0.5)),
+        # s = 1e-4: the default mesh of this shallow state would need 70,005,771 points
+        lambda: solve_morse(MorseParams(v1=-6.0004, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0), 1),
+    ], ids=["sho-points", "explicit-grid", "shallow-morse"])
+    def test_point_cap_rejects_before_allocating(self, solve):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="grid="):
+                solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a mesh at the cap takes 10 MB per array
 
 
 class TestRadialOracle:

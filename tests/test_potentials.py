@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain_count, count_sign_changes, radial_overlap
+from conftest import chain_count, count_sign_changes, factorial_degeneracy, radial_overlap
 from morsebound.errors import CriticalCouplingError, DomainError, FamilyMismatchError
 from morsebound.langer import RadialProblem, quantized_energy_via_morse
 from morsebound.potentials import (
@@ -227,6 +227,16 @@ class TestDegeneracy:
         for dim in range(2, 7):
             for l in range(0, 6):
                 assert degeneracy(dim, l).count == chain_count(dim, l)
+
+    def test_matches_factorial_form(self):
+        for dim in range(2, 40):
+            for l in range(0, 60):
+                assert degeneracy(dim, l).count == factorial_degeneracy(dim, l)
+
+    def test_large_dimension(self):
+        # d_2(D) = (D+2)(D-1)/2; the factorial form needs (D-1)! here
+        dim = 10 ** 6
+        assert degeneracy(dim, 2).count == (dim + 2) * (dim - 1) // 2
 
     def test_domain(self):
         with pytest.raises(DomainError):

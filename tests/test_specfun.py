@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from conftest import laguerre_series
+from conftest import kummer_m_poly, laguerre_series
 from morsebound.errors import ConvergenceError, DomainError
-from morsebound.specfun import integrate_halfline, kummer_m_poly, laguerre, log_gamma
+from morsebound.specfun import integrate_halfline, laguerre, log_gamma
 
 
 class TestLaguerre:
