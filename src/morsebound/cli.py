@@ -16,7 +16,8 @@ Counts are capped before anything is allocated, with exit 2 past a cap:
 mesh past 1,250,001 points are domain errors (exit 1).
 
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
-MORSEBOUND_POINTS (default oracle grid points).
+MORSEBOUND_POINTS (default oracle grid points; radial log-mesh points for sho
+and coulomb).
 """
 
 from __future__ import annotations

@@ -1,22 +1,25 @@
 """Independent Numerov shooting eigensolver.
 
 This module is the numerical check on every closed-form eigenvalue in the
-package.  It integrates y'' = (2m/hbar^2)(V - E) y with the three-point
-Numerov scheme (fourth order in the spacing) in Johnson's renormalized form:
-one kernel carries the ratio R[i] = F[i+1]/F[i] of F = (1 - h^2 f/12) y
-through R[i] = U[i] - 1/R[i-1], so nothing overflows and a node is a negative
-ratio.  Forward node counts check the bracket ends.  Each refinement step is
-one probe: a left sweep up to the outermost classical turning point and a
-right sweep down to it give the log-derivative mismatch there and the matched
-node count S(E), the sum of the two one-sided counts.  S changes only at the
-mismatch's poles, so {E : S(E) = n} is the pole-free window holding the n-th
-eigenvalue and one zero of the mismatch.  The refinement bisects until both
-bracket ends lie in that window, then takes Illinois false-position steps; the
-node count of the result is read off the bracketing probes.
-Radial problems never touch r = 0: the mesh starts one spacing out and the
-first two values are seeded with the regular Frobenius behavior r^(1/2+S)
-(plus a short series correction so the seeding error stays below the
-scheme's own fourth-order truncation).
+package.  It integrates y'' = f y with f = (2m/hbar^2) w (v - E) using the
+three-point Numerov scheme (fourth order in the spacing) in Johnson's
+renormalized form: one kernel carries the ratio R[i] = F[i+1]/F[i] of
+F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
+a node is a negative ratio.  Forward node counts check the bracket ends.  Each
+refinement step is one probe: a left sweep up to the outermost classical
+turning point and a right sweep down to it give the log-derivative mismatch
+there and the matched node count S(E), the sum of the two one-sided counts.
+S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
+window holding the n-th eigenvalue and one zero of the mismatch.  The
+refinement bisects until both bracket ends lie in that window, then takes
+Illinois false-position steps; the node count of the result is read off the
+bracketing probes.
+
+On a 1-D mesh y is the wavefunction and the energy weight w is 1.  A radial
+problem is solved on a mesh uniform in the paper's Langer variable ln r, from
+1e-7 r_max to r_max: u = sqrt(r) y gives y'' = [S^2 + r^2 k (V - E)] y, so
+w = r^2, v = V + hbar^2 S^2/(2 m r^2), and the regular solution
+y ~ r^S (1 + a1 r + ...) is smooth at r = 0 and seeds the first two values.
 
 Every solve is repeated on a mesh with doubled spacing; the difference,
 scaled by 1/15, is reported as a Richardson error estimate.
@@ -47,8 +50,7 @@ __all__ = [
 ]
 
 _DEFAULT_TOL_REL = 1e-10
-# Largest mesh any solve accepts: the default radial grid's r_max = 25000 at
-# spacing 0.02.  A probe keeps about six mesh-sized float arrays alive.
+# Largest mesh any solve accepts; a probe keeps about six mesh-sized arrays alive.
 _MAX_POINTS = 1_250_001
 _MAX_ITER = 200
 # Integration starts where h^2*f/12 stays below this cap: past it the Numerov
@@ -56,11 +58,15 @@ _MAX_ITER = 200
 # minting spurious nodes.  The regular solution is ~0 that deep in a barrier,
 # so skipping the over-stiff points loses nothing.
 _BARRIER_CAP = 0.8
+_R_MIN = 1e-7  # inner end of a radial log mesh, relative to r_max
+_RADIAL_POINTS = 8001  # points of every default radial mesh
+_MAX_SCAN_REACH = 25_000.0  # no default scan box past this r: one box serves the whole window
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform mesh with at least 1000 points."""
+    """Mesh of at least 1000 points, uniform in x on [x_min, x_max]; a radial
+    solve reads Grid1D(0, r_max, N) as N points uniform in ln r on [1e-7 r_max, r_max]."""
 
     x_min: float
     x_max: float
@@ -95,57 +101,60 @@ class OracleResult:
 
 
 class _Shooting:
-    """Discretized shooting problem on the nodes actually integrated."""
+    """Discretized shooting problem y'' = k w (v - E) y on a mesh of spacing h."""
 
-    def __init__(self, xs: np.ndarray, vs: np.ndarray, mass: float, hbar: float,
+    def __init__(self, h: float, vs: np.ndarray, weight, mass: float, hbar: float,
                  frobenius=None):
-        self.x = xs
+        self.h = h
         self.v = vs
-        self.h = float(xs[1] - xs[0])
+        self.weight = np.broadcast_to(weight, vs.shape)  # energy weight per point
         self.kfac = 2.0 * mass / (hbar * hbar)
-        self._w = (self.h * self.h / 12.0) * self.kfac
-        self._base = 1.0 - self._w * vs  # c(E) = base + w*E
+        self._w = (h * h / 12.0) * self.kfac * weight  # g(E) = h^2 f/12 = g0 - w*E
+        self._g0 = self._w * vs
         # Every probe refills these in place, so a solve allocates no
         # mesh-sized arrays after construction.
-        self._c = np.empty_like(self._base)
-        self._u = np.empty_like(self._base)
+        self._g = np.empty_like(self._g0)
+        self._u = np.empty_like(self._g0)
         self._mask = np.empty(vs.shape, dtype=bool)
-        # frobenius = (power, delta, ztilde) switches the left seed from the
-        # generic barrier form to the regular r^(1/2+S) series at the origin.
+        # frobenius = (S, delta, ztilde) switches the left seed from the
+        # generic barrier form to the regular series r^S (1 + a1 r + ...) of
+        # y = u/sqrt(r) at the origin, with r = sqrt(weight).
         self.frobenius = frobenius
-
-    def _coeffs(self, energy: float, i0: int, i1: int):
-        """Numerov factors c on [i0, i1] and the ratio coefficients U = 12/c - 10.
-
-        Both are views of buffers that the next call overwrites.
-        """
-        c = np.add(self._base[i0:i1 + 1], self._w * energy, out=self._c[i0:i1 + 1])
-        u = np.divide(12.0, c, out=self._u[i0:i1 + 1])
-        u -= 10.0
-        return c, u
 
     def _bounds(self, energy: float):
         """First and last mesh index the recurrence may visit at this energy.
 
-        Assumes a single-well effective potential, so the representable set
-        {i : h^2*f_i/12 <= cap} is one contiguous block.
+        Fills the buffers with g = h^2 f/12 and, between those indices,
+        U = 12/c - 10 with c = 1 - g, formed as 2 + 12 g/c to keep g's precision.
+        Assumes a single-well potential, so {i : g_i <= cap} is one block.
         """
-        cutoff = energy + _BARRIER_CAP / self._w
-        inside = np.less_equal(self.v, cutoff, out=self._mask)
+        g = np.multiply(self._w, -energy, out=self._g)
+        g += self._g0
+        inside = np.less_equal(g, _BARRIER_CAP, out=self._mask)
         if np.count_nonzero(inside) < 8:
             raise BracketError(
                 "the mesh cannot represent this energy: the barrier is too stiff "
                 "almost everywhere (reduce the spacing or the box)"
             )
-        return int(inside.argmax()), _last_true(inside)
+        i0, i1 = int(inside.argmax()), _last_true(inside)
+        g, u = g[i0:i1 + 1], self._u[i0:i1 + 1]
+        np.subtract(1.0, g, out=u)
+        np.divide(g, u, out=u)
+        u *= 12.0
+        u += 2.0
+        return i0, i1
+
+    def _growth(self, energy: float, i: int):
+        """f = y''/y at mesh point i and exp(h*sqrt(f)) capped at e^30: the step
+        ratio, toward the well, of the solution that decays into a barrier there."""
+        f = self.kfac * (float(self.v[i]) - energy) * float(self.weight[i])
+        return f, math.exp(min(math.sqrt(max(f, 0.0)) * self.h, 30.0))
 
     def _seed_left(self, energy: float, i0: int) -> float:
         """y[i0 + 1] / y[i0] of the solution regular at the left end."""
         if self.frobenius is None:
-            f0 = self.kfac * (float(self.v[i0]) - energy)
-            return math.exp(min(math.sqrt(max(f0, 0.0)) * self.h, 30.0))
-        power, delta, ztilde = self.frobenius
-        big_s = power - 0.5
+            return self._growth(energy, i0)[1]
+        big_s, delta, ztilde = self.frobenius
         b = -self.kfac * energy
         a = [1.0, 0.0, 0.0, 0.0, 0.0]
         for k in range(1, 5):
@@ -154,19 +163,13 @@ class _Shooting:
             if 0 <= j < k:
                 acc += ztilde * a[j]
             a[k] = acc / (k * (k + 2.0 * big_s))
-
-        def series(r):
-            return 1.0 + r * (a[1] + r * (a[2] + r * (a[3] + r * a[4])))
-
-        r0, r1 = float(self.x[i0]), float(self.x[i0 + 1])
-        return (r1 / r0) ** power * series(r1) / series(r0)
+        series = np.polyval(a[::-1], np.sqrt(self.weight[i0:i0 + 2]))  # at r[i0], r[i0 + 1]
+        return math.exp(self.h * big_s) * float(series[1] / series[0])
 
     def _seed_right(self, energy: float, i1: int) -> float:
         """y[i1 - 1] / y[i1]: a decaying tail in a barrier, else y[i1] = 0."""
-        f_end = self.kfac * (float(self.v[i1]) - energy)
-        if f_end > 0.0:
-            return math.exp(min(math.sqrt(f_end) * self.h, 30.0))
-        return math.inf
+        f_end, growth = self._growth(energy, i1)
+        return growth if f_end > 0.0 else math.inf
 
     def match_index(self, energy: float, i0: int, i1: int) -> int:
         """Outermost classical turning point (the potential minimum if there is none)."""
@@ -177,9 +180,8 @@ class _Shooting:
     def forward_nodes(self, energy: float, cap: int | None = None) -> int:
         """Sign changes of the forward solution: the count of mesh eigenvalues below E."""
         i0, i1 = self._bounds(energy)
-        c, u = self._coeffs(energy, i0, i1)
-        seed = self._seed_left(energy, i0) * float(c[1] / c[0])
-        return _sweep(seed, u[1:i1 - i0], cap)[0]
+        seed = self._seed_left(energy, i0) * self._c_ratio(i0 + 1, i0)
+        return _sweep(seed, self._u[i0 + 1:i1], cap)[0]
 
     def probe(self, energy: float):
         """Node count S(E) of the matched solution and the matching mismatch.
@@ -195,18 +197,20 @@ class _Shooting:
         """
         i0, i1 = self._bounds(energy)
         ic = self.match_index(energy, i0, i1)
-        c, u = self._coeffs(energy, i0, i1)
-        k, n = ic - i0, i1 - i0
-        seed = self._seed_left(energy, i0) * float(c[1] / c[0])
-        n_left, r_left = _sweep(seed, u[1:k])  # F[ic] / F[ic - 1]
-        seed = self._seed_right(energy, i1) * float(c[n - 1] / c[n])
-        n_right, q_right = _sweep(seed, u[n - 1:k:-1])  # F[ic] / F[ic + 1]
+        u = self._u
+        seed = self._seed_left(energy, i0) * self._c_ratio(i0 + 1, i0)
+        n_left, r_left = _sweep(seed, u[i0 + 1:ic])  # F[ic] / F[ic - 1]
+        seed = self._seed_right(energy, i1) * self._c_ratio(i1 - 1, i1)
+        n_right, q_right = _sweep(seed, u[i1 - 1:ic:-1])  # F[ic] / F[ic + 1]
         # With F = c*y, both one-sided solutions obey c[ic+1] y[ic+1] +
         # c[ic-1] y[ic-1] = (12 - 10 c[ic]) y[ic], which reduces the mismatch
         # to the y[ic-1]/y[ic] ratios: the right one is U[ic] - 1/q_right.
-        cm, c0, cp = float(c[k - 1]), float(c[k]), float(c[k + 1])
-        gap = float(u[k]) - 1.0 / q_right - 1.0 / r_left
-        return n_left + n_right, (1.0 + cm / cp) * (c0 / cm) * gap
+        gap = float(u[ic]) - 1.0 / q_right - 1.0 / r_left
+        return n_left + n_right, (self._c_ratio(ic, ic - 1) + self._c_ratio(ic, ic + 1)) * gap
+
+    def _c_ratio(self, i: int, j: int) -> float:
+        """c[i]/c[j] of the Numerov factor c = 1 - g at the last probed energy."""
+        return (1.0 - float(self._g[i])) / (1.0 - float(self._g[j]))
 
 
 def _last_true(mask: np.ndarray) -> int:
@@ -335,40 +339,39 @@ def _line_builder(potential, mass: float, hbar: float):
             vs = np.array([float(potential(float(x))) for x in xs])
         if not np.all(np.isfinite(vs)):
             raise DomainError("potential must be finite on the whole grid")
-        return _Shooting(xs, vs, mass, hbar)
+        return _Shooting(float(xs[1] - xs[0]), vs, 1.0, mass, hbar)
 
     return build
 
 
-def _radial_builder(problem: RadialProblem):
-    af = angular_factor(problem.dim, problem.l, problem.beta)  # validates the coupling
-    inv_sq = af.S * af.S - 0.25  # beta + L(L+1)
+def _langer_potential(problem: RadialProblem):
+    """v(r) = V + hbar^2 S^2/(2 m r^2) of the Langer equation and its Frobenius data."""
+    s_sq = angular_factor(problem.dim, problem.l, problem.beta).S ** 2  # validates the coupling
     kfac = 2.0 * problem.mass / (problem.hbar * problem.hbar)
+    z = problem.z
     if problem.delta == -2:
         # Fold an explicit r^-2 power-law piece into the inverse-square strength.
-        inv_sq += kfac * problem.z
-        s_eff_sq = inv_sq + 0.25
-        if s_eff_sq <= 0.0:
-            raise CriticalCouplingError(
-                "combined inverse-square coupling is at or below the critical value"
-            )
-        power = 0.5 + math.sqrt(s_eff_sq)
-        z_pow, ztilde = 0.0, 0.0
-    else:
-        power = 0.5 + af.S
-        z_pow, ztilde = problem.z, kfac * problem.z
+        s_sq, z = s_sq + kfac * z, 0.0
+        if s_sq <= 0.0:
+            raise CriticalCouplingError("combined inverse-square coupling is at or below "
+                                        "the critical value")
 
-    centrifugal = (problem.hbar ** 2 / (2.0 * problem.mass)) * inv_sq
+    def potential(rs: np.ndarray) -> np.ndarray:
+        return s_sq / (kfac * rs * rs) + z * rs ** problem.delta
+
+    return potential, (math.sqrt(s_sq), problem.delta, kfac * z)
+
+
+def _radial_builder(problem: RadialProblem):
+    potential, frobenius = _langer_potential(problem)
 
     def build(grid: Grid1D) -> _Shooting:
         if grid.x_min != 0.0:
-            raise DomainError("radial grids start at x_min = 0 (first node one spacing out)")
-        rs = grid.positions()[1:]  # r = 0 is a (regular) singular point
-        vs = centrifugal / (rs * rs)
-        if z_pow != 0.0:
-            vs = vs + z_pow * rs ** problem.delta
-        return _Shooting(rs, vs, problem.mass, problem.hbar,
-                         frobenius=(power, problem.delta, ztilde))
+            raise DomainError("radial grids are Grid1D(0, r_max, points)")
+        ts = np.linspace(math.log(_R_MIN * grid.x_max), math.log(grid.x_max), grid.points)
+        rs = np.exp(ts)
+        return _Shooting(float(ts[1] - ts[0]), potential(rs), rs * rs, problem.mass,
+                         problem.hbar, frobenius)
 
     return build
 
@@ -391,9 +394,9 @@ def solve_radial(problem: RadialProblem, grid: Grid1D, target_nodes: int, bracke
                  *, tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Eigenvalue of the radial problem with ``target_nodes`` nodes in (0, r_max).
 
-    The grid is interpreted on (0, x_max]: the first integrated point sits one
-    spacing away from the origin and the solution is seeded there with the
-    regular branch r^(1/2+S).
+    ``grid`` is Grid1D(0, r_max, N): N points uniform in ln r on
+    [1e-7 * r_max, r_max], the first two seeded with the regular branch
+    u ~ r^(1/2+S).
     """
     _check_solve_inputs(grid, tol_rel)
     return _solve_dual(_radial_builder(problem), grid, target_nodes, bracket, tol_rel)
@@ -420,7 +423,7 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
     if isinstance(target, RadialProblem):
         build = _radial_builder(target)
         if grid is None:
-            grid = _default_radial_grid(target, hi)
+            grid = _default_radial_grid(target, hi, reach=_MAX_SCAN_REACH)
     else:
         if grid is None or mass is None or hbar is None:
             raise DomainError("scanning a callable potential requires grid, mass and hbar")
@@ -438,28 +441,27 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
             RuntimeWarning,
             stacklevel=2,
         )
-    results = []
-    for k in range(n_lo, min(n_hi, n_lo + max_states)):
-        results.append(_solve_dual(build, grid, k, (lo, hi), tol_rel))
-    return results
+    return [_solve_dual(build, grid, k, (lo, hi), tol_rel)
+            for k in range(n_lo, min(n_hi, n_lo + max_states))]
 
 
-def _default_radial_grid(problem: RadialProblem, window_top: float) -> Grid1D:
-    """Mesh from the turning radius at the window top out past 30 decay lengths,
-    at a spacing of about 0.02; pass an explicit grid for precision work."""
-    probe = np.geomspace(1e-4, 1e4, 4000)
-    ks = 2.0 * problem.mass / problem.hbar ** 2
-    af = angular_factor(problem.dim, problem.l, problem.beta)
-    inv_sq = af.S * af.S - 0.25
-    vs = (problem.hbar ** 2 / (2.0 * problem.mass)) * inv_sq / probe ** 2
-    if problem.delta != -2 and problem.z != 0.0:
-        vs = vs + problem.z * probe ** problem.delta
-    allowed = probe[vs <= window_top]
-    r_turn = float(allowed[-1]) if allowed.size else 10.0
-    kappa = math.sqrt(ks * abs(window_top)) if window_top < 0.0 else math.sqrt(ks)
-    r_max = max(2.0 * r_turn, r_turn + 30.0 / max(kappa, 1e-3))
-    points = max(15001, math.ceil(r_max / 0.02) | 1)  # spacing about 0.02
-    return Grid1D(0.0, r_max, points)
+def _default_radial_grid(problem: RadialProblem, energy: float, points: int | None = None,
+                         reach: float = math.inf) -> Grid1D:
+    """Log mesh out to where the WKB decay exponent past the outermost turning
+    point at ``energy`` reaches 30 (past the least Langer f = S^2 + r^2 k (V - E)
+    if there is none); a box past ``reach`` raises DomainError."""
+    kfac = 2.0 * problem.mass / (problem.hbar * problem.hbar)
+    # The probe spans 15 decades each side of the decay length at ``energy`` (unit energy at 0).
+    rs = np.geomspace(1e-15, 1e15, 4001) / math.sqrt(kfac * (abs(energy) or 1.0))
+    excess = kfac * (_langer_potential(problem)[0](rs) - energy)
+    allowed = np.flatnonzero(excess <= 0.0)
+    start = int(allowed[-1]) if allowed.size else int(np.argmin(excess * rs * rs))
+    decay = np.cumsum(np.sqrt(excess[start + 1:]) * np.diff(rs[start:]))
+    past = start + 1 + np.flatnonzero(decay >= 30.0)
+    if not past.size or rs[past[0]] > reach:
+        raise DomainError(f"no default radial grid for E = {energy:g} ends within "
+                          f"r = {min(reach, rs[-1]):g}; pass an explicit grid=")
+    return Grid1D(0.0, float(rs[past[0]]), _RADIAL_POINTS if points is None else points)
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +521,30 @@ def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
 
 
 def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: float,
-              n: int, *, points: int = 12001, grid: Grid1D | None = None,
+              n: int, *, points: int | None = None, grid: Grid1D | None = None,
               bracket=None, tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-oscillator state (n, l)."""
-    state = sho_spectrum(dim, l, beta, omega, mass, hbar, n)[n]
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=2,
                             z=0.5 * mass * omega * omega, mass=mass, hbar=hbar)
-    if grid is None:
-        length = math.sqrt(hbar / (mass * omega))
-        r_max = math.sqrt(2.0 * hbar / (mass * omega) * (state.energy / (hbar * omega) + 45.0))
-        r_max = max(r_max, 6.0 * length)
-        grid = Grid1D(0.0, r_max, points)
-    if bracket is None:
-        pad = min(0.2 * state.energy, 0.9 * hbar * omega)
-        bracket = (state.energy - pad, state.energy + pad)
-    return solve_radial(problem, grid, n, bracket, tol_rel=tol_rel)
+    states = sho_spectrum(dim, l, beta, omega, mass, hbar, n + 1)
+    return _solve_state(problem, states, n, points, grid, bracket, tol_rel)
 
 
 def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: float,
-                  n: int, *, points: int = 16001, grid: Grid1D | None = None,
+                  n: int, *, points: int | None = None, grid: Grid1D | None = None,
                   bracket=None, tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-Coulomb state (n, l)."""
-    states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
-    state = states[n]
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=z, mass=mass, hbar=hbar)
+    states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
+    return _solve_state(problem, states, n, points, grid, bracket, tol_rel)
+
+
+def _solve_state(problem: RadialProblem, states, n: int, points, grid, bracket, tol_rel):
+    """solve_radial for state n of ``states``, with the default grid and bracket
+    where none is given; ``points`` sizes the default grid."""
+    energies = [st.energy for st in states]
     if grid is None:
-        kappa = math.sqrt(2.0 * mass * abs(state.energy)) / hbar
-        r_turn = abs(z) / abs(state.energy)
-        grid = Grid1D(0.0, r_turn + 28.0 / kappa, points)
+        grid = _default_radial_grid(problem, energies[n], points)
     if bracket is None:
-        bracket = _bracket([st.energy for st in states], n)
+        bracket = _bracket(energies, n)
     return solve_radial(problem, grid, n, bracket, tol_rel=tol_rel)

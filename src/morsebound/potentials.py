@@ -97,6 +97,14 @@ def coulomb_spectrum(dim: int, l: int, beta: float, z: float, mass: float,
     ]
 
 
+def _check_member(state: RadialState, mass: float, hbar: float, energy: float) -> None:
+    """Reject a state whose energy is not ``energy``, the level these parameters give it."""
+    if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf
+            and abs(state.energy - energy) <= 1e-12 * abs(energy)):
+        raise DomainError(f"state energy {state.energy} does not match mass={mass}, "
+                          f"hbar={hbar} and the coupling, which give {energy}")
+
+
 def _radial_value(prefactor_log: float, power: float, r: float, half_arg: float,
                   lag: float) -> float:
     # u = exp(prefactor_log) * r**power * exp(-half_arg) * lag, evaluated in
@@ -120,10 +128,11 @@ def sho_eigenfunction(state: RadialState, omega: float, mass: float, hbar: float
     """
     if state.family != OSCILLATOR:
         raise FamilyMismatchError(f"expected an oscillator state, got family={state.family!r}")
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if r < 0.0:
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
+    if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
+    _check_member(state, mass, hbar, hbar * omega * (2.0 * state.n + 1.0 + state.S))
     if r == 0.0:
         return 0.0
     gam = mass * omega / hbar
@@ -148,14 +157,15 @@ def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float
     """
     if state.family != COULOMB:
         raise FamilyMismatchError(f"expected a coulomb state, got family={state.family!r}")
-    if z >= 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires z < 0, got {z}")
-    if r < 0.0:
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
+    if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
-    if r == 0.0:
-        return 0.0
     a = hbar * hbar / (mass * abs(z))
     nu = state.n + 0.5 + state.S
+    _check_member(state, mass, hbar, -hbar * hbar / (2.0 * mass * (a * nu) ** 2))
+    if r == 0.0:
+        return 0.0
     length = a * nu
     t = 2.0 * r / length
     # B = sqrt(n! / ((length/2)^(2S+2) * 2*nu * Gamma(n + 2S + 1)))
@@ -192,8 +202,8 @@ def pure_sho_levels(dim: int, omega: float, mass: float, hbar: float,
     The principal label N = 2n + l collects all (n, l) with l <= N and l of
     the same parity as N; the total degeneracy at N sums d_l(D) over those l.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
     _check_tower(mass, hbar, n_max)
     levels = []
     for big_n in range(n_max + 1):
@@ -211,10 +221,11 @@ def pure_coulomb_levels(dim: int, z: float, mass: float, hbar: float,
     formula is exposed as written (N - 1/2 in the denominator label), an
     extrapolation not singled out by the relabeling argument.
     """
-    if z >= 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires z < 0, got {z}")
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_tower(mass, hbar, n_max)
     a = hbar * hbar / (mass * abs(z))
     rydberg = hbar * hbar / (2.0 * mass * a * a)
     levels = []

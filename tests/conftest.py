@@ -111,7 +111,7 @@ def numerov_product(prob, energy):
     """
     i0, i1 = prob._bounds(energy)
     ic = prob.match_index(energy, i0, i1)
-    c = (prob._base + prob._w * energy).tolist()
+    c = (1.0 - (prob.h ** 2 / 12.0) * prob.kfac * prob.weight * (prob.v - energy)).tolist()
     rescales = 0
 
     def sweep(y0, y1, path):

@@ -156,6 +156,25 @@ class TestVerifyCommand:
         assert payload["checks"][0]["analytic"]["energy"] == pytest.approx(-2.0 / 9.0)
         assert payload["checks"][0]["relative_deviation"] < 1e-6
 
+    @pytest.mark.parametrize("argv", [
+        ["--system", "coulomb", "--z", "-1", "--n", "0", "--n", "1"],
+        ["--system", "sho", "--omega", "1", "--n", "1"],
+    ], ids=["coulomb", "sho"])
+    def test_small_s_states_pass(self, capsys, argv):
+        # beta = -0.24 puts S = 0.1, next to the critical coupling -0.25
+        code, out, _ = run_cli(capsys, "verify", "--dim", "3", "--beta", "-0.24", "--l", "0",
+                               *argv)
+        assert code == 0
+        assert json.loads(out)["all_pass"] is True
+
+    def test_state_far_from_the_origin(self, capsys):
+        # l = 200 is allowed only on r = 37545..43260.  |E| = 1.2e-5, so the
+        # refinement's absolute stop width of 1e-10 allows a deviation of 4e-6.
+        code, out, _ = run_cli(capsys, "verify", "--system", "coulomb", "--dim", "3",
+                               "--z", "-1", "--l", "200", "--n", "0", "--tol", "1e-5")
+        assert code == 0
+        assert json.loads(out)["checks"][0]["node_count"] == 0
+
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--system", "morse",
                                "--v1", "-8", "--v2", "8", "--n", "0",

@@ -10,7 +10,7 @@ from morsebound import oracle
 from morsebound.errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from morsebound.langer import RadialProblem
 from morsebound.morse import MorseParams
-from morsebound.potentials import coulomb_spectrum
+from morsebound.potentials import coulomb_spectrum, sho_spectrum
 from morsebound.oracle import (
     Grid1D,
     scan_spectrum,
@@ -216,6 +216,57 @@ class TestRadialOracle:
         with pytest.raises(DomainError):
             scan_spectrum(problem, (-0.6, -0.1), 3, grid=Grid1D(0.5, 60.0, 8001))
 
+    @pytest.mark.parametrize("family,beta,n", [
+        # beta = -0.24 gives S = 0.1 and beta = 0.25 gives S = 0.707 for D = 3, l = 0,
+        # where u ~ r^(1/2+S) is far from smooth in r.
+        ("coulomb", -0.24, 0), ("coulomb", -0.24, 1), ("coulomb", 0.25, 0), ("coulomb", 0.25, 2),
+        ("sho", -0.24, 0), ("sho", -0.24, 1), ("sho", 0.25, 0), ("sho", 0.25, 2),
+    ])
+    def test_small_s_states_on_the_default_grid(self, family, beta, n):
+        if family == "coulomb":
+            want = coulomb_spectrum(3, 0, beta, -1.0, 1.0, 1.0, n)[n].energy
+            result = solve_coulomb(3, 0, beta, -1.0, 1.0, 1.0, n)
+        else:
+            want = sho_spectrum(3, 0, beta, 1.0, 1.0, 1.0, n)[n].energy
+            result = solve_sho(3, 0, beta, 1.0, 1.0, 1.0, n)
+        assert result.eigenvalue == pytest.approx(want, rel=1e-8)
+        assert result.node_count == n
+
+    @pytest.mark.parametrize("family,n", [
+        ("coulomb", 0), ("coulomb", 1), ("coulomb", 3), ("sho", 0), ("sho", 1), ("sho", 3),
+    ])
+    def test_richardson_estimate_on_the_default_grid(self, family, n):
+        # S = 0.1.  The estimate measures the h^4 truncation error; below about
+        # 1e-11 relative the rounding of the recurrence sets the error.
+        if family == "coulomb":
+            want = coulomb_spectrum(3, 0, -0.24, -1.0, 1.0, 1.0, n)[n].energy
+            result = solve_coulomb(3, 0, -0.24, -1.0, 1.0, 1.0, n, tol_rel=1e-14)
+        else:
+            want = sho_spectrum(3, 0, -0.24, 1.0, 1.0, 1.0, n)[n].energy
+            result = solve_sho(3, 0, -0.24, 1.0, 1.0, 1.0, n, tol_rel=1e-14)
+        error = abs(result.eigenvalue - want)
+        assert error <= 2.0 * result.richardson_error_estimate + 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("args", [
+        (3, 200, 0.0, -1.0, 1.0, 1.0, 0),  # allowed only on r = 37545..43260
+        (3, 0, 0.0, -1.0, 1e-3, 1.0, 0),  # Bohr radius 1000: the box reaches r = 35000
+        (3, 0, 0.0, -1.0, 1e6, 1.0, 0),  # Bohr radius 1e-6
+    ], ids=["l200", "light", "heavy"])
+    def test_default_grid_follows_the_length_scale(self, args):
+        want = coulomb_spectrum(*args[:6], args[6] + 1)[args[6]].energy
+        result = solve_coulomb(*args, tol_rel=1e-14)
+        assert result.eigenvalue == pytest.approx(want, rel=1e-9)
+        assert result.node_count == args[6]
+
+    def test_uniform_r_cross_check(self):
+        # At half-integer S the regular solution u ~ r^2 is smooth in r, so a
+        # plain 1-D solve on a uniform r mesh checks the log-mesh solve.
+        spacing = 60.0 / 16001
+        uniform = solve_1d(lambda r: -1.0 / r + 1.0 / r ** 2, Grid1D(spacing, 60.0, 16001), 0,
+                           1.0, 1.0, (-0.2, -0.1))
+        log_mesh = solve_coulomb(3, 1, 0.0, -1.0, 1.0, 1.0, 0)
+        assert uniform.eigenvalue == pytest.approx(log_mesh.eigenvalue, rel=1e-8)
+
     def test_critical_coupling_rejected(self):
         problem = RadialProblem(dim=3, l=0, beta=-0.3, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
         with pytest.raises(CriticalCouplingError):
@@ -256,7 +307,13 @@ class TestScan:
     def test_inverse_square_default_grid(self):
         problem = RadialProblem(dim=3, l=0, beta=-0.2, delta=-2, z=0.0,
                                 mass=1.0, hbar=1.0)
-        assert scan_spectrum(problem, (-10.0, -1e-6), 4) == []
+        tracemalloc.start()
+        try:
+            assert scan_spectrum(problem, (-10.0, -1e-6), 4) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # the default mesh stays a few thousand points
 
     def test_hydrogen_window_truncates_with_warning(self):
         problem = RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0,

@@ -157,6 +157,17 @@ class TestEigenfunctions:
             coulomb_eigenfunction(sho_state, -1.0, 1.0, 1.0, 1.0)
         with pytest.raises(FamilyMismatchError):
             sho_eigenfunction(coul_state, 1.0, 1.0, 1.0, 1.0)
+        # A state of z = -1 (omega = 1) evaluated with other parameters, or off the half-line.
+        for z, mass, hbar, r in ((-4.0, 1.0, 1.0, 1.0), (-1.0, 2.0, 1.0, 1.0),
+                                 (-1.0, 1.0, math.nan, 1.0), (-1.0, 1.0, 1.0, math.nan),
+                                 (math.nan, 1.0, 1.0, 1.0), (-math.inf, 1.0, 1.0, 1.0)):
+            with pytest.raises(DomainError):
+                coulomb_eigenfunction(coul_state, z, mass, hbar, r)
+        for omega, mass, hbar, r in ((2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 2.0, 1.0),
+                                     (math.inf, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0),
+                                     (1.0, math.nan, 1.0, 1.0), (1.0, 1.0, 1.0, math.nan)):
+            with pytest.raises(DomainError):
+                sho_eigenfunction(sho_state, omega, mass, hbar, r)
 
 
 class TestPureLevels:
@@ -208,6 +219,13 @@ class TestPureLevels:
             pure_coulomb_levels(3, 1.0, 1.0, 1.0, 3)
         with pytest.raises(DomainError):
             pure_sho_levels(3, -1.0, 1.0, 1.0, 3)
+        # a negative mass would flip the sign of the Coulomb levels
+        for z, mass in ((-1.0, -1.0), (-1.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                pure_coulomb_levels(3, z, mass, 1.0, 2)
+        for omega, mass in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                pure_sho_levels(3, omega, mass, 1.0, 1)
 
 
 class TestDegeneracy:
