@@ -16,8 +16,8 @@ Counts are capped before anything is allocated, with exit 2 past a cap:
 mesh past 1,250,001 points are domain errors (exit 1).
 
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
-MORSEBOUND_POINTS (default oracle grid points; radial log-mesh points for sho
-and coulomb).
+MORSEBOUND_POINTS (points of the oracle's default mesh, 8001 for every
+system).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--tol", type=float, default=None,
                     help="relative tolerance (default MORSEBOUND_TOL or 1e-6)")
     vf.add_argument("--points", type=int, default=None,
-                    help="oracle grid points (default MORSEBOUND_POINTS or per-system)")
+                    help="oracle default-mesh points (default MORSEBOUND_POINTS or 8001)")
 
     dg = sub.add_parser("degeneracy", help="hyperspherical degeneracy table d_l(D)")
     dg.add_argument("--dim", type=int, required=True)
@@ -130,7 +130,7 @@ class _System:
     spectrum: Callable  # (args, n_max) -> closed-form states 0..n_max (Morse: all)
     label: Callable  # (args, state) -> (family, dim, l, beta, S) of its record
     wave: Callable  # (args, state) -> the eigenfunction x -> u(x)
-    solve: Callable  # (args, n, **points) -> oracle.OracleResult of state n
+    solve: Callable  # (args, n, points=None) -> oracle.OracleResult of state n
     radial: Callable | None = None  # args -> (delta, z) for map; None for the Morse well
 
 
@@ -292,13 +292,12 @@ def _cmd_verify(args, parser) -> int:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"verify tolerance must be positive and finite, got {tol}")
     points = args.points if args.points is not None else _env_number(_ENV_POINTS, int, None)
-    kwargs = {"points": points} if points else {}
     system = _system(args, parser)
 
     checks = []
     for n in sorted(set(args.n)) if args.n else [0]:
         state = _state(args, n)
-        result = system.solve(args, n, **kwargs)
+        result = system.solve(args, n, points=points)
         deviation = abs(result.eigenvalue - state.energy) / max(abs(state.energy), 1e-300)
         checks.append({
             "analytic": _record(args, state),

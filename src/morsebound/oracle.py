@@ -6,8 +6,8 @@ three-point Numerov scheme (fourth order in the spacing) in Johnson's
 renormalized form: one kernel carries the ratio R[i] = F[i+1]/F[i] of
 F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
 a node is a negative ratio.  Forward node counts check the bracket ends.  Each
-refinement step is one probe: a left sweep up to the outermost classical
-turning point and a right sweep down to it give the log-derivative mismatch
+refinement step is one probe: a left sweep up to the last classical turning
+point on the mesh and a right sweep down to it give the log-derivative mismatch
 there and the matched node count S(E), the sum of the two one-sided counts.
 S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
 window holding the n-th eigenvalue and one zero of the mismatch.  The
@@ -15,11 +15,13 @@ refinement bisects until both bracket ends lie in that window, then takes
 Illinois false-position steps; the node count of the result is read off the
 bracketing probes.
 
-On a 1-D mesh y is the wavefunction and the energy weight w is 1.  A radial
-problem is solved on a mesh uniform in the paper's Langer variable ln r, from
-1e-7 r_max to r_max: u = sqrt(r) y gives y'' = [S^2 + r^2 k (V - E)] y, so
-w = r^2, v = V + hbar^2 S^2/(2 m r^2), and the regular solution
-y ~ r^S (1 + a1 r + ...) is smooth at r = 0 and seeds the first two values.
+On a 1-D mesh y is the wavefunction and the energy weight w is 1.  Radial and
+Morse problems run on meshes uniform in the paper's Langer variables ln r and
+ln t, t = e^(-alpha x) (the x mesh swept from the tail), where r = 0 and the
+tail t = 0 are regular singular points of y'' = [sum_p c_p rho^p] y: the
+Frobenius series rho^s (1 + a1 rho + ...), s = sqrt(c_0), seeds the first two
+values.  Radially u = sqrt(r) y on [1e-7 r_max, r_max], w = r^2 and
+v = V + hbar^2 S^2/(2 m r^2); for the Morse well w = 1/alpha^2.
 
 Every solve is repeated on a mesh with doubled spacing; the difference,
 scaled by 1/15, is reported as a Richardson error estimate.
@@ -59,7 +61,7 @@ _MAX_ITER = 200
 # so skipping the over-stiff points loses nothing.
 _BARRIER_CAP = 0.8
 _R_MIN = 1e-7  # inner end of a radial log mesh, relative to r_max
-_RADIAL_POINTS = 8001  # points of every default radial mesh
+_DEFAULT_POINTS = 8001  # points of every default mesh
 _MAX_SCAN_REACH = 25_000.0  # no default scan box past this r: one box serves the whole window
 
 
@@ -116,9 +118,9 @@ class _Shooting:
         self._g = np.empty_like(self._g0)
         self._u = np.empty_like(self._g0)
         self._mask = np.empty(vs.shape, dtype=bool)
-        # frobenius = (S, delta, ztilde) switches the left seed from the
-        # generic barrier form to the regular series r^S (1 + a1 r + ...) of
-        # y = u/sqrt(r) at the origin, with r = sqrt(weight).
+        # frobenius = (rho, terms) switches the left seed from the generic
+        # barrier form to the Frobenius series at rho = 0; terms(E) gives the
+        # c_p of y'' = [sum_p c_p rho^p] y in the mesh variable ln rho.
         self.frobenius = frobenius
 
     def _bounds(self, energy: float):
@@ -154,17 +156,17 @@ class _Shooting:
         """y[i0 + 1] / y[i0] of the solution regular at the left end."""
         if self.frobenius is None:
             return self._growth(energy, i0)[1]
-        big_s, delta, ztilde = self.frobenius
-        b = -self.kfac * energy
-        a = [1.0, 0.0, 0.0, 0.0, 0.0]
-        for k in range(1, 5):
-            acc = b * a[k - 2] if k - 2 >= 0 else 0.0
-            j = k - 2 - delta
-            if 0 <= j < k:
-                acc += ztilde * a[j]
-            a[k] = acc / (k * (k + 2.0 * big_s))
-        series = np.polyval(a[::-1], np.sqrt(self.weight[i0:i0 + 2]))  # at r[i0], r[i0 + 1]
-        return math.exp(self.h * big_s) * float(series[1] / series[0])
+        rho, terms = self.frobenius
+        c = terms(energy)
+        if c[0] <= 0.0:  # no decaying branch at or above the threshold: y[i0] = 0
+            return math.inf
+        s = math.sqrt(c[0])
+        a = [1.0]  # a_j j (j + 2s) = sum_{p > 0} c_p a_{j-p}
+        for j in range(1, 5):
+            a.append(sum(cp * a[j - p] for p, cp in c.items() if 0 < p <= j)
+                     / (j * (j + 2.0 * s)))
+        series = np.polyval(a[::-1], rho[i0:i0 + 2])
+        return math.exp(self.h * s) * float(series[1] / series[0])
 
     def _seed_right(self, energy: float, i1: int) -> float:
         """y[i1 - 1] / y[i1]: a decaying tail in a barrier, else y[i1] = 0."""
@@ -172,7 +174,7 @@ class _Shooting:
         return growth if f_end > 0.0 else math.inf
 
     def match_index(self, energy: float, i0: int, i1: int) -> int:
-        """Outermost classical turning point (the potential minimum if there is none)."""
+        """Last classical turning point on the mesh (the potential minimum if there is none)."""
         allowed = np.less_equal(self.v, energy, out=self._mask)
         last = _last_true(allowed) if allowed.any() else int(np.argmin(self.v))
         return min(max(last, i0 + 2), i1 - 2)
@@ -318,7 +320,7 @@ def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> Or
     e_fine, nodes = _locate(fine, target, bracket, tol_rel)
 
     coarse = build(grid.halved())
-    pad = max(1e-3 * max(1.0, abs(e_fine)), 1e4 * tol_rel * max(1.0, abs(e_fine)))
+    pad = max(1e-3 * abs(e_fine), 1e4 * tol_rel * max(1.0, abs(e_fine)))
     try:
         e_coarse = _locate(coarse, target, (e_fine - pad, e_fine + pad), tol_rel)[0]
     except BracketError:
@@ -345,25 +347,27 @@ def _line_builder(potential, mass: float, hbar: float):
 
 
 def _langer_potential(problem: RadialProblem):
-    """v(r) = V + hbar^2 S^2/(2 m r^2) of the Langer equation and its Frobenius data."""
+    """v(r) = V + hbar^2 S^2/(2 m r^2) of the Langer equation and its Frobenius terms."""
     s_sq = angular_factor(problem.dim, problem.l, problem.beta).S ** 2  # validates the coupling
     kfac = 2.0 * problem.mass / (problem.hbar * problem.hbar)
-    z = problem.z
-    if problem.delta == -2:
-        # Fold an explicit r^-2 power-law piece into the inverse-square strength.
-        s_sq, z = s_sq + kfac * z, 0.0
-        if s_sq <= 0.0:
-            raise CriticalCouplingError("combined inverse-square coupling is at or below "
-                                        "the critical value")
+    z, delta = problem.z, problem.delta
+    if delta == -2 and s_sq + kfac * z <= 0.0:  # an explicit r^-2 piece adds k z to S^2
+        raise CriticalCouplingError("combined inverse-square coupling is at or below "
+                                    "the critical value")
 
     def potential(rs: np.ndarray) -> np.ndarray:
-        return s_sq / (kfac * rs * rs) + z * rs ** problem.delta
+        return s_sq / (kfac * rs * rs) + z * rs ** delta
 
-    return potential, (math.sqrt(s_sq), problem.delta, kfac * z)
+    def terms(energy: float) -> dict:
+        c = {0: s_sq, 2: -kfac * energy}
+        c[2 + delta] = c.get(2 + delta, 0.0) + kfac * z  # delta = 0 or -2 adds to a term
+        return c
+
+    return potential, terms
 
 
 def _radial_builder(problem: RadialProblem):
-    potential, frobenius = _langer_potential(problem)
+    potential, terms = _langer_potential(problem)
 
     def build(grid: Grid1D) -> _Shooting:
         if grid.x_min != 0.0:
@@ -371,7 +375,23 @@ def _radial_builder(problem: RadialProblem):
         ts = np.linspace(math.log(_R_MIN * grid.x_max), math.log(grid.x_max), grid.points)
         rs = np.exp(ts)
         return _Shooting(float(ts[1] - ts[0]), potential(rs), rs * rs, problem.mass,
-                         problem.hbar, frobenius)
+                         problem.hbar, (rs, terms))
+
+    return build
+
+
+def _morse_builder(params: MorseParams):
+    """The Morse problem on a Grid1D in x, reversed so the sweep starts at the tail."""
+    scale = 2.0 * params.mass / (params.hbar * params.alpha) ** 2
+
+    def terms(energy: float) -> dict:
+        return {0: -scale * energy, 1: scale * params.v1, 2: scale * params.v2}
+
+    def build(grid: Grid1D) -> _Shooting:
+        ls = -params.alpha * grid.positions()[::-1]  # ln t, from the tail to the wall
+        ts = np.exp(ls)
+        return _Shooting(float(ls[1] - ls[0]), params.v1 * ts + params.v2 * ts * ts,
+                         params.alpha ** -2, params.mass, params.hbar, (ts, terms))
 
     return build
 
@@ -461,7 +481,7 @@ def _default_radial_grid(problem: RadialProblem, energy: float, points: int | No
     if not past.size or rs[past[0]] > reach:
         raise DomainError(f"no default radial grid for E = {energy:g} ends within "
                           f"r = {min(reach, rs[-1]):g}; pass an explicit grid=")
-    return Grid1D(0.0, float(rs[past[0]]), _RADIAL_POINTS if points is None else points)
+    return Grid1D(0.0, float(rs[past[0]]), _DEFAULT_POINTS if points is None else points)
 
 
 # ---------------------------------------------------------------------------
@@ -470,54 +490,26 @@ def _default_radial_grid(problem: RadialProblem, energy: float, points: int | No
 # it from the closed forms costs nothing in independence.
 # ---------------------------------------------------------------------------
 
-def _bracket(energies, n: int):
-    """Window around energies[n]: 20% of |E|, capped at 45% of each gap to a neighbour."""
-    energy = energies[n]
-    pad_dn = pad_up = 0.2 * abs(energy)
-    if n + 1 < len(energies):
-        pad_up = min(pad_up, 0.45 * (energies[n + 1] - energy))
-    if n > 0:
-        pad_dn = min(pad_dn, 0.45 * (energy - energies[n - 1]))
-    return (energy - pad_dn, energy + pad_up)
-
-
-def _morse_default_grid(params: MorseParams, energy: float, points: int | None) -> Grid1D:
-    depth = max(abs(energy), params.v1 ** 2 / (4.0 * params.v2))
-    wall = max(500.0 * depth, 200.0)
+def _morse_default_grid(params: MorseParams, points: int | None) -> Grid1D:
+    """x from the wall, where V reaches 500 well depths (at least 200), to the
+    tail, where k|v1|t/alpha^2 = 0.02 and the Frobenius seed takes over."""
+    wall = max(500.0 * params.v1 ** 2 / (4.0 * params.v2), 200.0)
     t_wall = (-params.v1 + math.sqrt(params.v1 ** 2 + 4.0 * params.v2 * wall)) / (2.0 * params.v2)
-    x_min = -math.log(t_wall) / params.alpha
-    disc = params.v1 ** 2 + 4.0 * params.v2 * energy
-    t_out = (-params.v1 - math.sqrt(max(disc, 0.0))) / (2.0 * params.v2)
-    x_turn = -math.log(max(t_out, 1e-300)) / params.alpha
-    kappa = math.sqrt(2.0 * params.mass * abs(energy)) / params.hbar
-    x_max = x_turn + 28.0 / kappa
-    if points is None:
-        points = max(8001, int(math.ceil((x_max - x_min) / 0.004)) | 1)
-    return Grid1D(x_min, x_max, points)
+    t_tail = 0.02 * (params.hbar * params.alpha) ** 2 / (2.0 * params.mass * abs(params.v1))
+    return Grid1D(-math.log(t_wall) / params.alpha, -math.log(t_tail) / params.alpha,
+                  _DEFAULT_POINTS if points is None else points)
 
 
 def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
                 grid: Grid1D | None = None, bracket=None,
                 tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
-    """Oracle eigenvalue for the n-th Morse bound state of ``params``.
-
-    When ``points`` is omitted the mesh density scales with the box, so
-    shallow states with long decay tails keep a fine enough spacing.
-    """
+    """Oracle eigenvalue for the n-th Morse bound state of ``params``."""
     states = morse_spectrum(params)
     if n >= len(states) or n < 0:
         raise DomainError(f"state {n} does not exist; the well holds {len(states)} states")
-    energy = states[n].energy
     if grid is None:
-        grid = _morse_default_grid(params, energy, points)
-    if bracket is None:
-        bracket = _bracket([st.energy for st in states], n)
-
-    def potential(x):
-        t = np.exp(-params.alpha * x)
-        return params.v1 * t + params.v2 * t * t
-
-    return solve_1d(potential, grid, n, params.mass, params.hbar, bracket, tol_rel=tol_rel)
+        grid = _morse_default_grid(params, points)
+    return _solve_state(_morse_builder(params), states, n, grid, bracket, tol_rel)
 
 
 def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: float,
@@ -527,7 +519,9 @@ def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: fl
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=2,
                             z=0.5 * mass * omega * omega, mass=mass, hbar=hbar)
     states = sho_spectrum(dim, l, beta, omega, mass, hbar, n + 1)
-    return _solve_state(problem, states, n, points, grid, bracket, tol_rel)
+    if grid is None:
+        grid = _default_radial_grid(problem, states[n].energy, points)
+    return _solve_state(_radial_builder(problem), states, n, grid, bracket, tol_rel)
 
 
 def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: float,
@@ -536,15 +530,21 @@ def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: fl
     """Oracle eigenvalue for the singular-Coulomb state (n, l)."""
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=z, mass=mass, hbar=hbar)
     states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
-    return _solve_state(problem, states, n, points, grid, bracket, tol_rel)
-
-
-def _solve_state(problem: RadialProblem, states, n: int, points, grid, bracket, tol_rel):
-    """solve_radial for state n of ``states``, with the default grid and bracket
-    where none is given; ``points`` sizes the default grid."""
-    energies = [st.energy for st in states]
     if grid is None:
-        grid = _default_radial_grid(problem, energies[n], points)
+        grid = _default_radial_grid(problem, states[n].energy, points)
+    return _solve_state(_radial_builder(problem), states, n, grid, bracket, tol_rel)
+
+
+def _solve_state(build, states, n: int, grid: Grid1D, bracket, tol_rel: float) -> OracleResult:
+    """State n of ``states`` on ``build``'s problem.  The default bracket is a
+    window of 20% of |E| around it, capped at 45% of each gap to a neighbour."""
     if bracket is None:
-        bracket = _bracket(energies, n)
-    return solve_radial(problem, grid, n, bracket, tol_rel=tol_rel)
+        energy = states[n].energy
+        pad_dn = pad_up = 0.2 * abs(energy)
+        if n + 1 < len(states):
+            pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
+        if n > 0:
+            pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
+        bracket = (energy - pad_dn, energy + pad_up)
+    _check_solve_inputs(grid, tol_rel)
+    return _solve_dual(build, grid, n, bracket, tol_rel)

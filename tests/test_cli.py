@@ -210,8 +210,9 @@ class TestVerifyCommand:
           "--min", "0", "--max", "inf"], {}),
         # one point past the oracle's mesh cap: rejected before the mesh is built
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1250003"], {}),
-        # s = 1e-4: the default Morse mesh would need 70,005,771 points
-        (["verify", "--system", "morse", "--v1", "-6.0004", "--v2", "8", "--n", "1"], {}),
+        # zero points is a mesh too small to solve on, not a request for the default one
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "0"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"], {"MORSEBOUND_POINTS": "0"}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
@@ -221,6 +222,16 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert "nan" not in out.lower()
+        if argv[-2:] == ["--points", "0"] or env.get("MORSEBOUND_POINTS") == "0":
+            assert "got 0" in err
+
+    def test_shallow_morse_state(self, capsys):
+        # s = 1e-3, E = -5e-7: the tail seed keeps the default mesh at 8001
+        # points; the tolerance allows the refinement's absolute stop width.
+        code, out, _ = run_cli(capsys, "verify", "--system", "morse", "--v1", "-6.004",
+                               "--v2", "8", "--n", "1", "--tol", "1e-4")
+        assert code == 0
+        assert json.loads(out)["checks"][0]["node_count"] == 1
 
     def test_env_points_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MORSEBOUND_POINTS", "6001")

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ from conftest import numerov_product
 from morsebound import oracle
 from morsebound.errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from morsebound.langer import RadialProblem
-from morsebound.morse import MorseParams
+from morsebound.morse import MorseParams, spectrum as morse_spectrum
 from morsebound.potentials import coulomb_spectrum, sho_spectrum
 from morsebound.oracle import (
     Grid1D,
@@ -88,6 +89,56 @@ class TestMorseOracle:
             solve_1d(morse_potential, grid, 0, 1.0, 1.0, (-2.0, -1.3))
 
 
+def morse_states(seed):
+    """Seeded Morse states: sixteen states n of wells with strength n + 1.5 to
+    n + 6, then five top states (strength n + 1/2 + s) at s = 0.05, 0.125,
+    0.01, 1e-3 and 1e-4."""
+    rng = random.Random(seed)
+
+    def well(strength, alpha):
+        mass = hbar = 1.0
+        if rng.random() >= 0.7:
+            mass, hbar = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        v2 = rng.uniform(2.0, 10.0)
+        v1 = -strength * hbar * alpha * math.sqrt(2.0 * mass * v2) / mass
+        return MorseParams(v1=v1, v2=v2, alpha=alpha, mass=mass, hbar=hbar)
+
+    states = []
+    for _ in range(16):
+        n = rng.randint(0, 4)
+        states.append((well(n + rng.uniform(1.5, 6.0), rng.uniform(0.6, 1.5)), n))
+    for s in (0.05, 0.125, 0.01, 1e-3, 1e-4):
+        n = rng.randint(0, 3)
+        states.append((well(n + 0.5 + s, rng.uniform(0.6, 1.5)), n))
+    return states
+
+
+class TestMorseTail:
+    """The tail t = e^(-alpha x) -> 0 is seeded from its Frobenius series, so the
+    default mesh keeps 8001 points however slowly the state decays."""
+
+    @pytest.mark.parametrize("seed", [5, 11, 23])
+    def test_seeded_states_on_the_default_mesh(self, seed):
+        for params, n in morse_states(seed):
+            want = morse_spectrum(params)[n].energy
+            result = solve_morse(params, n)
+            assert result.node_count == n
+            assert result.grid.points == 8001
+            assert abs(result.eigenvalue - want) <= oracle._DEFAULT_TOL_REL * max(1.0, abs(want))
+
+    def test_near_threshold_state_stays_small(self):
+        params, n = morse_states(5)[-1]
+        assert morse_spectrum(params)[n].s == pytest.approx(1e-4, rel=1e-6)
+        tracemalloc.start()
+        try:
+            result = solve_morse(params, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.node_count == n
+        assert peak < 4_000_000
+
+
 def harmonic_potential(x):
     return 0.5 * x * x
 
@@ -107,6 +158,9 @@ class TestRatioKernel:
          (0.3, 1.2, 2.0, 3.7, 6.1), True),
         (oracle._radial_builder(HYDROGEN_P), Grid1D(0.0, 60.0, 8001),
          (-0.2, -0.1, -0.07, -0.04), False),
+        # The Morse well swept from its tail, seeded from the Frobenius series.
+        (oracle._morse_builder(TWO_STATE), Grid1D(-3.0, 30.0, 6001),
+         (-1.9, -1.5, -1.0, -0.6, -0.3, -0.05), False),
     ])
     def test_matches_the_product_form(self, build, grid, energies, stiff):
         prob = build(grid)
@@ -174,9 +228,7 @@ class TestInputChecks:
         lambda: solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 0, points=oracle._MAX_POINTS + 2),
         lambda: solve_1d(morse_potential, Grid1D(-2.5, 30.0, oracle._MAX_POINTS + 2), 0,
                          1.0, 1.0, (-2.0, -0.5)),
-        # s = 1e-4: the default mesh of this shallow state would need 70,005,771 points
-        lambda: solve_morse(MorseParams(v1=-6.0004, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0), 1),
-    ], ids=["sho-points", "explicit-grid", "shallow-morse"])
+    ], ids=["sho-points", "explicit-grid"])
     def test_point_cap_rejects_before_allocating(self, solve):
         tracemalloc.start()
         try:
