@@ -6,10 +6,13 @@ and :mod:`morsebound.potentials`; the Langer map connecting the radial
 problems to the Morse well is in :mod:`morsebound.langer`; the independent
 Numerov shooting oracle is in :mod:`morsebound.oracle`; special functions and
 quadrature in :mod:`morsebound.specfun`; the command line in
-:mod:`morsebound.cli`.
+:mod:`morsebound.cli`.  ``cli``, ``oracle``, ``Grid1D`` and ``OracleResult``
+load on first access, so numpy, which only the oracle uses, loads only then.
 """
 
-from . import cli, langer, morse, oracle, potentials, specfun
+import importlib
+
+from . import langer, morse, potentials, specfun
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -21,7 +24,6 @@ from .errors import (
 )
 from .langer import AngularFactor, MorseImage, RadialProblem
 from .morse import MorseParams, MorseState
-from .oracle import Grid1D, OracleResult
 from .potentials import DegeneracyRecord, RadialState
 
 __version__ = "0.1.0"
@@ -37,3 +39,11 @@ __all__ = [
     "RadialState", "DegeneracyRecord",
     "Grid1D", "OracleResult",
 ]
+
+
+def __getattr__(name):
+    if name in ("cli", "oracle"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in ("Grid1D", "OracleResult"):
+        return getattr(importlib.import_module(".oracle", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

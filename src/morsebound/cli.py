@@ -8,12 +8,14 @@ are the default; every state record is emitted with the schema
     {family, dim, n, l, beta, S, energy, units: {hbar, mass}, provenance}
 
 so analytic and oracle runs can be diffed downstream.  Exit codes: 0 success,
-1 physics-domain or verification failure, 2 usage error.
+1 physics-domain or verification failure, 2 usage error.  Give a negative
+value in exponent form as ``--v1=-8e0``: argparse may take ``--v1 -8e0`` for a
+flag with its value missing.
 
 Counts are capped before anything is allocated, with exit 2 past a cap:
 ``--nmax`` 10000, ``--samples`` 100000, ``--lmax`` and ``degeneracy --dim``
-1000.  A negative state index, a non-finite ``--min``/``--max`` and an oracle
-mesh past 1,250,001 points are domain errors (exit 1).
+1000.  A negative state index, a non-finite ``--min``, ``--max`` or width, and
+an oracle mesh past 1,250,001 points are domain errors (exit 1).
 
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
 MORSEBOUND_POINTS (points of the oracle's default mesh, 8001 for every
@@ -32,9 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from . import oracle, potentials
+from . import potentials
 from .errors import BracketError, ConvergenceError, DomainError
 from .langer import RadialProblem, angular_factor, to_morse
 from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum as morse_spectrum
@@ -130,7 +130,7 @@ class _System:
     spectrum: Callable  # (args, n_max) -> closed-form states 0..n_max (Morse: all)
     label: Callable  # (args, state) -> (family, dim, l, beta, S) of its record
     wave: Callable  # (args, state) -> the eigenfunction x -> u(x)
-    solve: Callable  # (args, n, points=None) -> oracle.OracleResult of state n
+    solve: Callable  # (oracle, args, n, points=None) -> oracle.OracleResult of state n
     radial: Callable | None = None  # args -> (delta, z) for map; None for the Morse well
 
 
@@ -148,7 +148,7 @@ _SYSTEMS = {
         spectrum=lambda a, n_max: morse_spectrum(_morse_params(a)),
         label=lambda a, st: ("morse", 1, None, None, st.s),
         wave=lambda a, st: partial(morse_eigenfunction, _morse_params(a), st),
-        solve=lambda a, n, **kw: oracle.solve_morse(_morse_params(a), n, **kw),
+        solve=lambda o, a, n, **kw: o.solve_morse(_morse_params(a), n, **kw),
     ),
     "sho": _System(
         flags=("dim", "omega"),
@@ -156,7 +156,7 @@ _SYSTEMS = {
             a.dim, a.l, a.beta, a.omega, a.mass, a.hbar, n_max),
         label=_radial_label,
         wave=lambda a, st: partial(potentials.sho_eigenfunction, st, a.omega, a.mass, a.hbar),
-        solve=lambda a, n, **kw: oracle.solve_sho(
+        solve=lambda o, a, n, **kw: o.solve_sho(
             a.dim, a.l, a.beta, a.omega, a.mass, a.hbar, n, **kw),
         radial=lambda a: (2, 0.5 * a.mass * a.omega ** 2),
     ),
@@ -166,7 +166,7 @@ _SYSTEMS = {
             a.dim, a.l, a.beta, a.z, a.mass, a.hbar, n_max),
         label=_radial_label,
         wave=lambda a, st: partial(potentials.coulomb_eigenfunction, st, a.z, a.mass, a.hbar),
-        solve=lambda a, n, **kw: oracle.solve_coulomb(
+        solve=lambda o, a, n, **kw: o.solve_coulomb(
             a.dim, a.l, a.beta, a.z, a.mass, a.hbar, n, **kw),
         radial=lambda a: (-1, a.z),
     ),
@@ -246,9 +246,13 @@ def _cmd_wavefunction(args, parser) -> int:
         parser.error("radial sampling requires --min >= 0")
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
         raise DomainError(f"--min and --max must be finite, got {args.lo} and {args.hi}")
+    div, width = args.samples - 1, args.hi - args.lo
+    if not math.isfinite(width):
+        raise DomainError(f"--max - --min must be finite, got {args.hi} - {args.lo}")
     u = system.wave(args, _state(args, args.n))
-    xs = np.linspace(args.lo, args.hi, args.samples)
-    rows = [[repr(float(x)), repr(float(u(float(x))))] for x in xs]
+    step = width / div  # np.linspace's floats; numpy scales i/div when the step underflows
+    xs = [args.lo + (i * step if step else i / div * width) for i in range(div)] + [args.hi]
+    rows = [[repr(x), repr(float(u(x)))] for x in xs]
     writer = csv.writer(sys.stdout)
     writer.writerow(["r_or_x", "u_value"])
     writer.writerows(rows)
@@ -288,6 +292,7 @@ def _cmd_map(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import oracle  # numpy comes with it; the other subcommands do without both
     tol = args.tol if args.tol is not None else _env_number(_ENV_TOL, float, 1e-6)
     if not 0.0 < tol < math.inf:
         raise DomainError(f"verify tolerance must be positive and finite, got {tol}")
@@ -297,7 +302,7 @@ def _cmd_verify(args, parser) -> int:
     checks = []
     for n in sorted(set(args.n)) if args.n else [0]:
         state = _state(args, n)
-        result = system.solve(args, n, points=points)
+        result = system.solve(oracle, args, n, points=points)
         deviation = abs(result.eigenvalue - state.energy) / max(abs(state.energy), 1e-300)
         checks.append({
             "analytic": _record(args, state),

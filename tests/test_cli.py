@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from morsebound.cli import main
@@ -105,6 +106,28 @@ class TestWavefunctionCommand:
                                "--min", "-2", "--max", "10")
         assert code == 1
         assert "does not exist" in err
+
+    @pytest.mark.parametrize("system,lo,hi,samples", [
+        ("morse", -2.0, 10.0, 2),
+        ("morse", -2.0, 10.0, 3),
+        ("morse", -2.0, 10.0, 257),
+        ("morse", -2.0, 10.0, 100000),
+        ("morse", 3.0, 3.0, 5),  # lo == hi
+        ("morse", -7.3, -0.2, 257),  # negative range
+        ("morse", 10.0, -2.5, 257),  # decreasing, mixed sign
+        ("morse", -0.1, 0.7, 3),
+        ("sho", 0.0, 1e-300, 257),  # width 1e-300
+        ("sho", 0.0, 1e-321, 1000),  # the step underflows to 0
+        ("sho", 0.0, 1e308, 257),
+    ])
+    def test_sample_points_match_numpy_linspace(self, capsys, system, lo, hi, samples):
+        flags = {"morse": ["--v1", "-8", "--v2", "8"], "sho": ["--dim", "3", "--omega", "1"]}
+        code, out, _ = run_cli(capsys, "wavefunction", "--system", system, *flags[system],
+                               f"--min={lo!r}", f"--max={hi!r}", "--samples", str(samples))
+        assert code == 0
+        xs = [row[0] for row in csv.reader(io.StringIO(out))][1:]
+        want = np.linspace(lo, hi, samples)
+        assert [float(x).hex() for x in xs] == [float(x).hex() for x in want]
 
 
 class TestMapCommand:
@@ -213,6 +236,9 @@ class TestVerifyCommand:
         # zero points is a mesh too small to solve on, not a request for the default one
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "0"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"], {"MORSEBOUND_POINTS": "0"}),
+        # both ends finite, but the width overflows: no NaN sample points
+        (["wavefunction", "--system", "morse", "--v1", "-8", "--v2", "8",
+          "--min=-1e308", "--max=1e308", "--samples", "3"], {}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
@@ -261,6 +287,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--system", "coulomb", "--dim", "3", "--z", "-1", "--energy=-1e-3"],
+        ["spectrum", "--system", "morse", "--v1=-8e0", "--v2", "8"],
+    ])
+    def test_negative_exponent_form_with_equals(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
