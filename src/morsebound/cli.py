@@ -36,7 +36,7 @@ from functools import partial
 
 from . import potentials
 from .errors import BracketError, ConvergenceError, DomainError
-from .langer import RadialProblem, angular_factor, to_morse
+from .langer import RadialProblem, angular_factor, origin_exponent, to_morse
 from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum as morse_spectrum
 
 _ENV_TOL = "MORSEBOUND_TOL"
@@ -283,7 +283,7 @@ def _cmd_map(args, parser) -> int:
         "S": af.S,
         "L_plus": af.L_plus,
         "L_minus": af.L_minus,
-        "origin_exponent": 0.5 + af.S,
+        "origin_exponent": origin_exponent(problem),
         "has_well": image.v1 < 0.0 < image.v2,
     }
     keys = [k for k in payload if k != "command"]

@@ -1,7 +1,7 @@
 """Independent Numerov shooting eigensolver.
 
 This module is the numerical check on every closed-form eigenvalue in the
-package.  It integrates y'' = f y with f = (2m/hbar^2) w (v - E) using the
+package.  It integrates y'' = f y with f = f0 - w E using the
 three-point Numerov scheme (fourth order in the spacing) in Johnson's
 renormalized form: one kernel carries the ratio R[i] = F[i+1]/F[i] of
 F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
@@ -12,16 +12,17 @@ there and the matched node count S(E), the sum of the two one-sided counts.
 S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
 window holding the n-th eigenvalue and one zero of the mismatch.  The
 refinement bisects until both bracket ends lie in that window, then takes
-Illinois false-position steps; the node count of the result is read off the
-bracketing probes.
+Illinois false-position steps until the bracket is narrower than tol_rel times
+its larger end; the node count of the result is read off the bracketing probes.
 
-On a 1-D mesh y is the wavefunction and the energy weight w is 1.  Radial and
-Morse problems run on meshes uniform in the paper's Langer variables ln r and
-ln t, t = e^(-alpha x) (the x mesh swept from the tail), where r = 0 and the
-tail t = 0 are regular singular points of y'' = [sum_p c_p rho^p] y: the
-Frobenius series rho^s (1 + a1 rho + ...), s = sqrt(c_0), seeds the first two
-values.  Radially u = sqrt(r) y on [1e-7 r_max, r_max], w = r^2 and
-v = V + hbar^2 S^2/(2 m r^2); for the Morse well w = 1/alpha^2.
+On a 1-D mesh y is the wavefunction, f0 = k V and w = k, k = 2m/hbar^2.
+Radial and Morse problems are one equation, y'' = sum_p (a_p - b_p E) rho^p y,
+on a mesh uniform in the paper's Langer variable ln rho: rho = r with
+u = sqrt(r) y on [1e-7 r_max, r_max] and the table {p: (a_p, b_p)} =
+{0: (S^2, 0), 2: (0, k)} plus k z on a_(2+delta), or rho = t = e^(-alpha x)
+(the x mesh swept from the tail) and {0: (0, k/alpha^2), 1: (k v1/alpha^2, 0),
+2: (k v2/alpha^2, 0)}.  rho = 0 is a regular singular point: the Frobenius
+series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two values.
 
 Every solve is repeated on a mesh with doubled spacing; the difference,
 scaled by 1/15, is reported as a Richardson error estimate.
@@ -103,25 +104,23 @@ class OracleResult:
 
 
 class _Shooting:
-    """Discretized shooting problem y'' = k w (v - E) y on a mesh of spacing h."""
+    """Discretized shooting problem y'' = (f0 - w E) y on a mesh of spacing h."""
 
-    def __init__(self, h: float, vs: np.ndarray, weight, mass: float, hbar: float,
-                 frobenius=None):
+    def __init__(self, h: float, f0: np.ndarray, w, series=None):
         self.h = h
-        self.v = vs
-        self.weight = np.broadcast_to(weight, vs.shape)  # energy weight per point
-        self.kfac = 2.0 * mass / (hbar * hbar)
-        self._w = (h * h / 12.0) * self.kfac * weight  # g(E) = h^2 f/12 = g0 - w*E
-        self._g0 = self._w * vs
+        self.f0 = f0
+        self.w = np.broadcast_to(w, f0.shape)  # energy weight per point
+        self._gw = (h * h / 12.0) * w  # g(E) = h^2 f/12 = g0 - gw*E
+        self._g0 = (h * h / 12.0) * f0
         # Every probe refills these in place, so a solve allocates no
         # mesh-sized arrays after construction.
         self._g = np.empty_like(self._g0)
         self._u = np.empty_like(self._g0)
-        self._mask = np.empty(vs.shape, dtype=bool)
-        # frobenius = (rho, terms) switches the left seed from the generic
-        # barrier form to the Frobenius series at rho = 0; terms(E) gives the
-        # c_p of y'' = [sum_p c_p rho^p] y in the mesh variable ln rho.
-        self.frobenius = frobenius
+        self._mask = np.empty(f0.shape, dtype=bool)
+        # series = (rho, terms) switches the left seed from the generic
+        # barrier form to the Frobenius series at rho = 0; terms is the
+        # {p: (a_p, b_p)} table of f = sum_p (a_p - b_p E) rho^p.
+        self.series = series
 
     def _bounds(self, energy: float):
         """First and last mesh index the recurrence may visit at this energy.
@@ -130,7 +129,7 @@ class _Shooting:
         U = 12/c - 10 with c = 1 - g, formed as 2 + 12 g/c to keep g's precision.
         Assumes a single-well potential, so {i : g_i <= cap} is one block.
         """
-        g = np.multiply(self._w, -energy, out=self._g)
+        g = np.multiply(self._gw, -energy, out=self._g)
         g += self._g0
         inside = np.less_equal(g, _BARRIER_CAP, out=self._mask)
         if np.count_nonzero(inside) < 8:
@@ -149,15 +148,15 @@ class _Shooting:
     def _growth(self, energy: float, i: int):
         """f = y''/y at mesh point i and exp(h*sqrt(f)) capped at e^30: the step
         ratio, toward the well, of the solution that decays into a barrier there."""
-        f = self.kfac * (float(self.v[i]) - energy) * float(self.weight[i])
+        f = float(self.f0[i]) - float(self.w[i]) * energy
         return f, math.exp(min(math.sqrt(max(f, 0.0)) * self.h, 30.0))
 
     def _seed_left(self, energy: float, i0: int) -> float:
         """y[i0 + 1] / y[i0] of the solution regular at the left end."""
-        if self.frobenius is None:
+        if self.series is None:
             return self._growth(energy, i0)[1]
-        rho, terms = self.frobenius
-        c = terms(energy)
+        rho, terms = self.series
+        c = {p: a - b * energy for p, (a, b) in terms.items()}
         if c[0] <= 0.0:  # no decaying branch at or above the threshold: y[i0] = 0
             return math.inf
         s = math.sqrt(c[0])
@@ -173,10 +172,11 @@ class _Shooting:
         f_end, growth = self._growth(energy, i1)
         return growth if f_end > 0.0 else math.inf
 
-    def match_index(self, energy: float, i0: int, i1: int) -> int:
-        """Last classical turning point on the mesh (the potential minimum if there is none)."""
-        allowed = np.less_equal(self.v, energy, out=self._mask)
-        last = _last_true(allowed) if allowed.any() else int(np.argmin(self.v))
+    def match_index(self, i0: int, i1: int) -> int:
+        """Last classical turning point on the mesh at the last probed energy
+        (the least f if there is none)."""
+        allowed = np.less_equal(self._g, 0.0, out=self._mask)
+        last = _last_true(allowed) if allowed.any() else int(np.argmin(self._g))
         return min(max(last, i0 + 2), i1 - 2)
 
     def forward_nodes(self, energy: float, cap: int | None = None) -> int:
@@ -198,7 +198,7 @@ class _Shooting:
         the mesh eigenvalue.
         """
         i0, i1 = self._bounds(energy)
-        ic = self.match_index(energy, i0, i1)
+        ic = self.match_index(i0, i1)
         u = self._u
         seed = self._seed_left(energy, i0) * self._c_ratio(i0 + 1, i0)
         n_left, r_left = _sweep(seed, u[i0 + 1:ic])  # F[ic] / F[ic - 1]
@@ -271,7 +271,7 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float):
     recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
     moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
     iters = 2
-    while (width := hi - lo) > (tol := tol_rel * max(1.0, abs(lo), abs(hi))):
+    while (width := hi - lo) > (tol := tol_rel * max(abs(lo), abs(hi))):
         if iters >= _MAX_ITER:
             raise ConvergenceError(f"eigenvalue refinement exhausted {_MAX_ITER} iterations")
         iters += 1
@@ -314,13 +314,14 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> OracleResult:
     """Locate on the requested mesh and on the doubled-spacing mesh."""
+    _check_solve_inputs(grid, tol_rel)
     if target < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target}")
     fine = build(grid)
     e_fine, nodes = _locate(fine, target, bracket, tol_rel)
 
     coarse = build(grid.halved())
-    pad = max(1e-3 * abs(e_fine), 1e4 * tol_rel * max(1.0, abs(e_fine)))
+    pad = max(1e-3, 1e4 * tol_rel) * abs(e_fine)
     try:
         e_coarse = _locate(coarse, target, (e_fine - pad, e_fine + pad), tol_rel)[0]
     except BracketError:
@@ -331,6 +332,8 @@ def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> Or
 
 
 def _line_builder(potential, mass: float, hbar: float):
+    kfac = 2.0 * mass / (hbar * hbar)
+
     def build(grid: Grid1D) -> _Shooting:
         xs = grid.positions()
         try:
@@ -341,59 +344,61 @@ def _line_builder(potential, mass: float, hbar: float):
             vs = np.array([float(potential(float(x))) for x in xs])
         if not np.all(np.isfinite(vs)):
             raise DomainError("potential must be finite on the whole grid")
-        return _Shooting(float(xs[1] - xs[0]), vs, 1.0, mass, hbar)
+        return _Shooting(float(xs[1] - xs[0]), kfac * vs, kfac)
 
     return build
 
 
-def _langer_potential(problem: RadialProblem):
-    """v(r) = V + hbar^2 S^2/(2 m r^2) of the Langer equation and its Frobenius terms."""
+def _on_mesh(terms: dict, rho: np.ndarray):
+    """f0 = sum_p a_p rho^p and w = sum_p b_p rho^p; a w set by b_0 alone stays a scalar."""
+    f0, w = np.full_like(rho, terms[0][0]), terms[0][1]
+    for p, (a, b) in terms.items():
+        if p and a:
+            f0 = f0 + a * rho ** p
+        if p and b:
+            w = w + b * rho ** p
+    return f0, w
+
+
+def _langer_builder(terms: dict, mesh):
+    """Builder of y'' = sum_p (a_p - b_p E) rho^p y on mesh(grid), uniform in ln rho,
+    seeded from the Frobenius series at rho = 0."""
+    def build(grid: Grid1D) -> _Shooting:
+        ls = mesh(grid)
+        rho = np.exp(ls)
+        return _Shooting(float(ls[1] - ls[0]), *_on_mesh(terms, rho), (rho, terms))
+
+    return build
+
+
+def _radial_terms(problem: RadialProblem) -> dict:
+    """{p: (a_p, b_p)} of the Langer equation for y = u/sqrt(r) in ln r:
+    a = S^2 + k z r^(2+delta), b = k r^2, k = 2m/hbar^2."""
     s_sq = angular_factor(problem.dim, problem.l, problem.beta).S ** 2  # validates the coupling
     kfac = 2.0 * problem.mass / (problem.hbar * problem.hbar)
-    z, delta = problem.z, problem.delta
-    if delta == -2 and s_sq + kfac * z <= 0.0:  # an explicit r^-2 piece adds k z to S^2
+    terms = {0: (s_sq, 0.0), 2: (0.0, kfac)}
+    a, b = terms.get(2 + problem.delta, (0.0, 0.0))
+    terms[2 + problem.delta] = (a + kfac * problem.z, b)  # delta = 0 or -2 adds to a term
+    if terms[0][0] <= 0.0:  # an explicit r^-2 piece adds k z to S^2
         raise CriticalCouplingError("combined inverse-square coupling is at or below "
                                     "the critical value")
-
-    def potential(rs: np.ndarray) -> np.ndarray:
-        return s_sq / (kfac * rs * rs) + z * rs ** delta
-
-    def terms(energy: float) -> dict:
-        c = {0: s_sq, 2: -kfac * energy}
-        c[2 + delta] = c.get(2 + delta, 0.0) + kfac * z  # delta = 0 or -2 adds to a term
-        return c
-
-    return potential, terms
+    return terms
 
 
 def _radial_builder(problem: RadialProblem):
-    potential, terms = _langer_potential(problem)
-
-    def build(grid: Grid1D) -> _Shooting:
+    def mesh(grid: Grid1D) -> np.ndarray:
         if grid.x_min != 0.0:
             raise DomainError("radial grids are Grid1D(0, r_max, points)")
-        ts = np.linspace(math.log(_R_MIN * grid.x_max), math.log(grid.x_max), grid.points)
-        rs = np.exp(ts)
-        return _Shooting(float(ts[1] - ts[0]), potential(rs), rs * rs, problem.mass,
-                         problem.hbar, (rs, terms))
+        return np.linspace(math.log(_R_MIN * grid.x_max), math.log(grid.x_max), grid.points)
 
-    return build
+    return _langer_builder(_radial_terms(problem), mesh)
 
 
 def _morse_builder(params: MorseParams):
     """The Morse problem on a Grid1D in x, reversed so the sweep starts at the tail."""
     scale = 2.0 * params.mass / (params.hbar * params.alpha) ** 2
-
-    def terms(energy: float) -> dict:
-        return {0: -scale * energy, 1: scale * params.v1, 2: scale * params.v2}
-
-    def build(grid: Grid1D) -> _Shooting:
-        ls = -params.alpha * grid.positions()[::-1]  # ln t, from the tail to the wall
-        ts = np.exp(ls)
-        return _Shooting(float(ls[1] - ls[0]), params.v1 * ts + params.v2 * ts * ts,
-                         params.alpha ** -2, params.mass, params.hbar, (ts, terms))
-
-    return build
+    terms = {0: (0.0, scale), 1: (scale * params.v1, 0.0), 2: (scale * params.v2, 0.0)}
+    return _langer_builder(terms, lambda grid: -params.alpha * grid.positions()[::-1])  # ln t
 
 
 def solve_1d(potential, grid: Grid1D, target_nodes: int, mass: float, hbar: float,
@@ -405,7 +410,6 @@ def solve_1d(potential, grid: Grid1D, target_nodes: int, mass: float, hbar: floa
     """
     if mass <= 0.0 or hbar <= 0.0:
         raise DomainError("mass and hbar must be positive")
-    _check_solve_inputs(grid, tol_rel)
     return _solve_dual(_line_builder(potential, mass, hbar), grid, target_nodes,
                        bracket, tol_rel)
 
@@ -418,7 +422,6 @@ def solve_radial(problem: RadialProblem, grid: Grid1D, target_nodes: int, bracke
     [1e-7 * r_max, r_max], the first two seeded with the regular branch
     u ~ r^(1/2+S).
     """
-    _check_solve_inputs(grid, tol_rel)
     return _solve_dual(_radial_builder(problem), grid, target_nodes, bracket, tol_rel)
 
 
@@ -467,16 +470,18 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
 
 def _default_radial_grid(problem: RadialProblem, energy: float, points: int | None = None,
                          reach: float = math.inf) -> Grid1D:
-    """Log mesh out to where the WKB decay exponent past the outermost turning
-    point at ``energy`` reaches 30 (past the least Langer f = S^2 + r^2 k (V - E)
-    if there is none); a box past ``reach`` raises DomainError."""
-    kfac = 2.0 * problem.mass / (problem.hbar * problem.hbar)
-    # The probe spans 15 decades each side of the decay length at ``energy`` (unit energy at 0).
-    rs = np.geomspace(1e-15, 1e15, 4001) / math.sqrt(kfac * (abs(energy) or 1.0))
-    excess = kfac * (_langer_potential(problem)[0](rs) - energy)
-    allowed = np.flatnonzero(excess <= 0.0)
-    start = int(allowed[-1]) if allowed.size else int(np.argmin(excess * rs * rs))
-    decay = np.cumsum(np.sqrt(excess[start + 1:]) * np.diff(rs[start:]))
+    """Log mesh out to where the WKB decay exponent, the integral of sqrt(f) dr/r
+    past the outermost turning point at ``energy`` (past the least Langer f if
+    there is none), reaches 30; a box past ``reach`` raises DomainError."""
+    terms = _radial_terms(problem)
+    # The probe spans 15 decades each side of the decay length at ``energy``
+    # (unit energy at 0); b_2 = 2m/hbar^2.
+    rs = np.geomspace(1e-15, 1e15, 4001) / math.sqrt(terms[2][1] * (abs(energy) or 1.0))
+    f0, w = _on_mesh(terms, rs)
+    f = f0 - w * energy
+    allowed = np.flatnonzero(f <= 0.0)
+    start = int(allowed[-1]) if allowed.size else int(np.argmin(f))
+    decay = np.cumsum(np.sqrt(f[start + 1:]) / rs[start + 1:] * np.diff(rs[start:]))
     past = start + 1 + np.flatnonzero(decay >= 30.0)
     if not past.size or rs[past[0]] > reach:
         raise DomainError(f"no default radial grid for E = {energy:g} ends within "
@@ -501,50 +506,43 @@ def _morse_default_grid(params: MorseParams, points: int | None) -> Grid1D:
 
 
 def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
-                grid: Grid1D | None = None, bracket=None,
                 tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the n-th Morse bound state of ``params``."""
     states = morse_spectrum(params)
     if n >= len(states) or n < 0:
         raise DomainError(f"state {n} does not exist; the well holds {len(states)} states")
-    if grid is None:
-        grid = _morse_default_grid(params, points)
-    return _solve_state(_morse_builder(params), states, n, grid, bracket, tol_rel)
+    return _solve_state(_morse_builder(params), states, n,
+                        _morse_default_grid(params, points), tol_rel)
 
 
 def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: float,
-              n: int, *, points: int | None = None, grid: Grid1D | None = None,
-              bracket=None, tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
+              n: int, *, points: int | None = None,
+              tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-oscillator state (n, l)."""
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=2,
                             z=0.5 * mass * omega * omega, mass=mass, hbar=hbar)
     states = sho_spectrum(dim, l, beta, omega, mass, hbar, n + 1)
-    if grid is None:
-        grid = _default_radial_grid(problem, states[n].energy, points)
-    return _solve_state(_radial_builder(problem), states, n, grid, bracket, tol_rel)
+    return _solve_state(_radial_builder(problem), states, n,
+                        _default_radial_grid(problem, states[n].energy, points), tol_rel)
 
 
 def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: float,
-                  n: int, *, points: int | None = None, grid: Grid1D | None = None,
-                  bracket=None, tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
+                  n: int, *, points: int | None = None,
+                  tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-Coulomb state (n, l)."""
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=z, mass=mass, hbar=hbar)
     states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
-    if grid is None:
-        grid = _default_radial_grid(problem, states[n].energy, points)
-    return _solve_state(_radial_builder(problem), states, n, grid, bracket, tol_rel)
+    return _solve_state(_radial_builder(problem), states, n,
+                        _default_radial_grid(problem, states[n].energy, points), tol_rel)
 
 
-def _solve_state(build, states, n: int, grid: Grid1D, bracket, tol_rel: float) -> OracleResult:
-    """State n of ``states`` on ``build``'s problem.  The default bracket is a
-    window of 20% of |E| around it, capped at 45% of each gap to a neighbour."""
-    if bracket is None:
-        energy = states[n].energy
-        pad_dn = pad_up = 0.2 * abs(energy)
-        if n + 1 < len(states):
-            pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
-        if n > 0:
-            pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
-        bracket = (energy - pad_dn, energy + pad_up)
-    _check_solve_inputs(grid, tol_rel)
-    return _solve_dual(build, grid, n, bracket, tol_rel)
+def _solve_state(build, states, n: int, grid: Grid1D, tol_rel: float) -> OracleResult:
+    """State n of ``states`` on ``build``'s problem, bracketed by a window of
+    20% of |E| around it, capped at 45% of each gap to a neighbour."""
+    energy = states[n].energy
+    pad_dn = pad_up = 0.2 * abs(energy)
+    if n + 1 < len(states):
+        pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
+    if n > 0:
+        pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
+    return _solve_dual(build, grid, n, (energy - pad_dn, energy + pad_up), tol_rel)

@@ -110,8 +110,8 @@ def numerov_product(prob, energy):
     and how often the live values had to be rescaled to stay finite.
     """
     i0, i1 = prob._bounds(energy)
-    ic = prob.match_index(energy, i0, i1)
-    c = (1.0 - (prob.h ** 2 / 12.0) * prob.kfac * prob.weight * (prob.v - energy)).tolist()
+    ic = prob.match_index(i0, i1)
+    c = (1.0 - (prob.h ** 2 / 12.0) * (prob.f0 - prob.w * energy)).tolist()
     rescales = 0
 
     def sweep(y0, y1, path):

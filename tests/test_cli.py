@@ -191,10 +191,9 @@ class TestVerifyCommand:
         assert json.loads(out)["all_pass"] is True
 
     def test_state_far_from_the_origin(self, capsys):
-        # l = 200 is allowed only on r = 37545..43260.  |E| = 1.2e-5, so the
-        # refinement's absolute stop width of 1e-10 allows a deviation of 4e-6.
+        # l = 200 is allowed only on r = 37545..43260, and |E| = 1.2e-5.
         code, out, _ = run_cli(capsys, "verify", "--system", "coulomb", "--dim", "3",
-                               "--z", "-1", "--l", "200", "--n", "0", "--tol", "1e-5")
+                               "--z", "-1", "--l", "200", "--n", "0")
         assert code == 0
         assert json.loads(out)["checks"][0]["node_count"] == 0
 
@@ -253,9 +252,9 @@ class TestVerifyCommand:
 
     def test_shallow_morse_state(self, capsys):
         # s = 1e-3, E = -5e-7: the tail seed keeps the default mesh at 8001
-        # points; the tolerance allows the refinement's absolute stop width.
+        # points, and the relative stop width keeps the default tolerance.
         code, out, _ = run_cli(capsys, "verify", "--system", "morse", "--v1", "-6.004",
-                               "--v2", "8", "--n", "1", "--tol", "1e-4")
+                               "--v2", "8", "--n", "1")
         assert code == 0
         assert json.loads(out)["checks"][0]["node_count"] == 1
 

@@ -191,6 +191,14 @@ class TestRefinement:
         assert result.eigenvalue == pytest.approx(-0.125, rel=1e-6)
         assert result.node_count == 1
 
+    def test_bracket_straddling_zero(self):
+        # The eigenvalue sits at E = 0, where a relative stop width shrinks
+        # with the bracket; the refinement still ends.
+        result = solve_1d(lambda x: 0.5 * x * x - 0.5, Grid1D(-12.0, 12.0, 8001), 0, 1.0, 1.0,
+                          (-0.3, 0.3))
+        assert result.node_count == 0
+        assert abs(result.eigenvalue) <= 1e-9
+
     def test_bracket_reaching_below_the_potential_minimum(self):
         # The first probes sit below the well bottom (-2), where no point of
         # the mesh is classically allowed.
@@ -299,16 +307,29 @@ class TestRadialOracle:
         error = abs(result.eigenvalue - want)
         assert error <= 2.0 * result.richardson_error_estimate + 1e-11 * abs(want)
 
-    @pytest.mark.parametrize("args", [
-        (3, 200, 0.0, -1.0, 1.0, 1.0, 0),  # allowed only on r = 37545..43260
-        (3, 0, 0.0, -1.0, 1e-3, 1.0, 0),  # Bohr radius 1000: the box reaches r = 35000
-        (3, 0, 0.0, -1.0, 1e6, 1.0, 0),  # Bohr radius 1e-6
-    ], ids=["l200", "light", "heavy"])
-    def test_default_grid_follows_the_length_scale(self, args):
+    @pytest.mark.parametrize("args,tol_rel,rel", [
+        # l = 200 is allowed only on r = 37545..43260; Bohr radius 1000, where
+        # the box reaches r = 35000; Bohr radius 1e-6.
+        ((3, 200, 0.0, -1.0, 1.0, 1.0, 0), 1e-14, 1e-9),
+        ((3, 0, 0.0, -1.0, 1e-3, 1.0, 0), 1e-14, 1e-9),
+        ((3, 0, 0.0, -1.0, 1e6, 1.0, 0), 1e-14, 1e-9),
+        # The default tolerance: the stop width is relative, so E = -1.2e-5
+        # and E = -5e-7 keep their digits.
+        ((3, 200, 0.0, -1.0, 1.0, 1.0, 0), oracle._DEFAULT_TOL_REL, 1e-9),
+        ((3, 1000, 0.0, -1.0, 1.0, 1.0, 2), oracle._DEFAULT_TOL_REL, 1e-8),
+    ], ids=["l200", "light", "heavy", "l200-default-tol", "l1000-default-tol"])
+    def test_default_grid_follows_the_length_scale(self, args, tol_rel, rel):
         want = coulomb_spectrum(*args[:6], args[6] + 1)[args[6]].energy
-        result = solve_coulomb(*args, tol_rel=1e-14)
-        assert result.eigenvalue == pytest.approx(want, rel=1e-9)
+        result = solve_coulomb(*args, tol_rel=tol_rel)
+        assert result.eigenvalue == pytest.approx(want, rel=rel)
         assert result.node_count == args[6]
+
+    def test_richardson_estimate_below_an_absolute_stop_width(self):
+        # E = -5e-11 lies below 1e-10, so only a relative stop width lets the
+        # estimate measure the mesh.
+        want = coulomb_spectrum(3, 0, 0.0, -1e-5, 1.0, 1.0, 1)[0].energy
+        result = solve_coulomb(3, 0, 0.0, -1e-5, 1.0, 1.0, 0)
+        assert result.richardson_error_estimate <= 1e-9 * abs(want)
 
     def test_uniform_r_cross_check(self):
         # At half-integer S the regular solution u ~ r^2 is smooth in r, so a
@@ -328,10 +349,11 @@ class TestRadialOracle:
         # D = 3 pure oscillator ground state across three grid levels; the
         # box is kept wide so the h^4 signal stays above the rounding floor
         # of the three-term recurrence.
+        problem = RadialProblem(dim=3, l=0, beta=0.0, delta=2, z=0.5, mass=1.0, hbar=1.0)
         estimates = []
         for points in (2001, 4001, 8001):
-            result = solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 0,
-                               grid=Grid1D(0.0, 40.0, points), tol_rel=1e-13)
+            result = solve_radial(problem, Grid1D(0.0, 40.0, points), 0, (1.2, 1.8),
+                                  tol_rel=1e-13)
             estimates.append(result.richardson_error_estimate)
         first = estimates[0] / estimates[1]
         second = estimates[1] / estimates[2]
