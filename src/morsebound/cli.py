@@ -13,9 +13,11 @@ value in exponent form as ``--v1=-8e0``: argparse may take ``--v1 -8e0`` for a
 flag with its value missing.
 
 Counts are capped before anything is allocated, with exit 2 past a cap:
-``--nmax`` 10000, ``--samples`` 100000, ``--lmax`` and ``degeneracy --dim``
-1000.  A negative state index, a non-finite ``--min``, ``--max`` or width, and
-an oracle mesh past 1,250,001 points are domain errors (exit 1).
+``--nmax`` and ``--n`` 10000, ``--samples`` 100000, ``--lmax`` and
+``degeneracy --dim`` 1000.  A negative state index, a non-finite ``--min``,
+``--max`` or width, a Morse well of more than 10001 states, a ``--dim`` or
+``--l`` too large for a float, and an oracle mesh past 1,250,001 points are
+domain errors (exit 1).
 
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
 MORSEBOUND_POINTS (points of the oracle's default mesh, 8001 for every
@@ -38,6 +40,7 @@ from . import potentials
 from .errors import BracketError, ConvergenceError, DomainError
 from .langer import RadialProblem, angular_factor, origin_exponent, to_morse
 from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum as morse_spectrum
+from .morse import state_count
 
 _ENV_TOL = "MORSEBOUND_TOL"
 _ENV_POINTS = "MORSEBOUND_POINTS"
@@ -138,6 +141,14 @@ def _morse_params(args) -> MorseParams:
     return MorseParams(v1=args.v1, v2=args.v2, alpha=args.alpha, mass=args.mass, hbar=args.hbar)
 
 
+def _morse_states(args):
+    """All states of the Morse well, once it holds no more than a --nmax table."""
+    params = _morse_params(args)
+    if (count := state_count(params)) > _MAX_NMAX + 1:
+        raise DomainError(f"the well holds {count} states; at most {_MAX_NMAX + 1} are listed")
+    return morse_spectrum(params)
+
+
 def _radial_label(args, state):
     return state.family, state.dim, state.l, args.beta, state.S
 
@@ -145,7 +156,7 @@ def _radial_label(args, state):
 _SYSTEMS = {
     "morse": _System(
         flags=("v1", "v2"),
-        spectrum=lambda a, n_max: morse_spectrum(_morse_params(a)),
+        spectrum=lambda a, n_max: _morse_states(a),
         label=lambda a, st: ("morse", 1, None, None, st.s),
         wave=lambda a, st: partial(morse_eigenfunction, _morse_params(a), st),
         solve=lambda o, a, n, **kw: o.solve_morse(_morse_params(a), n, **kw),
@@ -241,6 +252,8 @@ def _cmd_spectrum(args, parser) -> int:
 def _cmd_wavefunction(args, parser) -> int:
     if not 2 <= args.samples <= _MAX_SAMPLES:
         parser.error(f"--samples must be between 2 and {_MAX_SAMPLES}")
+    if args.n > _MAX_NMAX:
+        parser.error(f"--n must be at most {_MAX_NMAX}")
     system = _system(args, parser)
     if system.radial and args.lo < 0.0:
         parser.error("radial sampling requires --min >= 0")
@@ -292,6 +305,8 @@ def _cmd_map(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if max(args.n or [0]) > _MAX_NMAX:
+        parser.error(f"--n must be at most {_MAX_NMAX}")
     from . import oracle  # numpy comes with it; the other subcommands do without both
     tol = args.tol if args.tol is not None else _env_number(_ENV_TOL, float, 1e-6)
     if not 0.0 < tol < math.inf:

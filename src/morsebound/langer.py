@@ -101,6 +101,8 @@ def angular_factor(dim: int, l: int, beta: float) -> AngularFactor:
     CriticalCouplingError
         When beta + (L+1/2)^2 <= 0: the particle falls to the centre and no
         bound-state problem of this form exists (strict inequality).
+    DomainError
+        When D or l is too large for (l + (D-2)/2)^2 to be a float.
     """
     if dim < 2:
         raise DomainError(f"dimension must be >= 2, got {dim}")
@@ -108,15 +110,19 @@ def angular_factor(dim: int, l: int, beta: float) -> AngularFactor:
         raise DomainError(f"angular quantum number must be >= 0, got {l}")
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    l_plus = l + (dim - 3) / 2.0
-    l_minus = -l - (dim - 1) / 2.0
-    s_squared = beta + (l_plus + 0.5) ** 2
-    if s_squared <= 0.0:
-        raise CriticalCouplingError(
-            f"coupling beta={beta} is at or below the critical value "
-            f"-(D-2)^2/4 = {critical_beta(dim)} for D={dim}, l={l} "
-            "(fall to the centre; S^2 must be positive)"
-        )
+    try:
+        l_plus = l + (dim - 3) / 2.0
+        l_minus = -l - (dim - 1) / 2.0
+        s_squared = beta + (l_plus + 0.5) ** 2
+        if s_squared <= 0.0:
+            raise CriticalCouplingError(
+                f"coupling beta={beta} is at or below the critical value "
+                f"-(D-2)^2/4 = {critical_beta(dim)} for D={dim}, l={l} "
+                "(fall to the centre; S^2 must be positive)"
+            )
+    except OverflowError:
+        raise DomainError("dimension and angular quantum number must be small enough "
+                          "for (l + (D-2)/2)^2 to be a float") from None
     return AngularFactor(L_plus=l_plus, L_minus=l_minus, S=math.sqrt(s_squared))
 
 

@@ -96,6 +96,8 @@ def state_count(params: MorseParams) -> int:
     bound = well_strength(params) - 0.5
     if bound <= 0.0:
         return 0
+    if bound == math.inf:
+        raise DomainError("the well strength overflows a float")
     return math.ceil(bound)
 
 

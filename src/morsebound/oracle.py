@@ -11,9 +11,9 @@ point on the mesh and a right sweep down to it give the log-derivative mismatch
 there and the matched node count S(E), the sum of the two one-sided counts.
 S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
 window holding the n-th eigenvalue and one zero of the mismatch.  The
-refinement bisects until both bracket ends lie in that window, then takes
-Illinois false-position steps until the bracket is narrower than tol_rel times
-its larger end; the node count of the result is read off the bracketing probes.
+refinement probes its guess and a pad past it, bisects until both ends lie in
+that window, then takes Illinois false-position steps until the bracket is
+narrower than tol_rel times its larger end; the bracketing probes give S.
 
 On a 1-D mesh y is the wavefunction, f0 = k V and w = k, k = 2m/hbar^2.
 Radial and Morse problems are one equation, y'' = sum_p (a_p - b_p E) rho^p y,
@@ -24,12 +24,14 @@ u = sqrt(r) y on [1e-7 r_max, r_max] and the table {p: (a_p, b_p)} =
 2: (k v2/alpha^2, 0)}.  rho = 0 is a regular singular point: the Frobenius
 series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two values.
 
-Every solve is repeated on a mesh with doubled spacing; the difference,
-scaled by 1/15, is reported as a Richardson error estimate.
+The solve_* wrappers guess the closed form.  Every solve is repeated, from its
+result, on a mesh with doubled spacing; the difference, scaled by 1/15, is
+reported as a Richardson error estimate.  A scan builds each mesh once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -243,14 +245,15 @@ def _sweep(ratio: float, coeffs, cap: int | None = None):
     return nodes, ratio
 
 
-def _locate(prob: _Shooting, target: int, bracket, tol_rel: float):
+def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
     """Eigenvalue with ``target`` nodes inside ``bracket`` and its node count.
 
-    Every step probes one energy.  It bisects until both ends have the
-    matched node count S = target, which pins them inside the pole-free
-    window holding the eigenvalue; then it takes Illinois false-position
-    steps on the mismatch, kept a quarter tolerance inside the ends, and
-    bisects instead when three steps have not halved the bracket.
+    Every step probes one energy: ``guess`` and then a pad past it toward the
+    eigenvalue, each skipped outside the bracket; then bisection until both
+    ends have the matched node count S = target, which pins them inside the
+    pole-free window holding the eigenvalue; then Illinois false-position
+    steps on the mismatch, kept a quarter tolerance inside the ends, or
+    bisection when three steps have not halved the bracket.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -270,6 +273,7 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float):
     f_lo = f_hi = 0.0
     recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
     moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
+    start = guess  # probed before any bisection, then a pad past it
     iters = 2
     while (width := hi - lo) > (tol := tol_rel * max(abs(lo), abs(hi))):
         if iters >= _MAX_ITER:
@@ -281,10 +285,12 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float):
             energy = lo + width * f_lo / (f_lo - f_hi)
             energy = min(max(energy, lo + 0.25 * tol), hi - 0.25 * tol)
         else:
-            energy = 0.5 * (lo + hi)
+            energy = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
         recent = recent[1:] + [width] if inside else [math.inf] * 3
         s, f = prob.probe(energy)
         side = -1 if s < target or (s == target and f > 0.0) else 1
+        if energy == guess:  # the pad goes toward the eigenvalue
+            start = guess - side * max(5e-4, 5e3 * tol_rel) * abs(guess)
         if secant and side == moved:  # Illinois: halve the value at the end that stays
             if side < 0:
                 f_hi *= 0.5
@@ -312,20 +318,15 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
                           f"{grid.points}; pass a coarser grid= or fewer points")
 
 
-def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float) -> OracleResult:
-    """Locate on the requested mesh and on the doubled-spacing mesh."""
+def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
+                guess=None) -> OracleResult:
+    """Locate from ``guess`` on the requested mesh, then from its result on the
+    doubled-spacing mesh; both search all of ``bracket``."""
     _check_solve_inputs(grid, tol_rel)
     if target < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target}")
-    fine = build(grid)
-    e_fine, nodes = _locate(fine, target, bracket, tol_rel)
-
-    coarse = build(grid.halved())
-    pad = max(1e-3, 1e4 * tol_rel) * abs(e_fine)
-    try:
-        e_coarse = _locate(coarse, target, (e_fine - pad, e_fine + pad), tol_rel)[0]
-    except BracketError:
-        e_coarse = _locate(coarse, target, bracket, tol_rel)[0]
+    e_fine, nodes = _locate(build(grid), target, bracket, tol_rel, guess)
+    e_coarse = _locate(build(grid.halved()), target, bracket, tol_rel, e_fine)[0]
     estimate = abs(e_fine - e_coarse) / 15.0
     return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
                         richardson_error_estimate=estimate)
@@ -452,10 +453,9 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
             raise DomainError("scanning a callable potential requires grid, mass and hbar")
         build = _line_builder(target, mass, hbar)
     _check_solve_inputs(grid, tol_rel)
+    build = functools.cache(build)  # each mesh is built once for all the states
 
-    prob = build(grid)
-    n_lo = prob.forward_nodes(lo)
-    n_hi = prob.forward_nodes(hi)
+    n_lo, n_hi = (build(grid).forward_nodes(energy) for energy in (lo, hi))
     inside = n_hi - n_lo
     if inside > max_states:
         warnings.warn(
@@ -537,12 +537,12 @@ def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: fl
 
 
 def _solve_state(build, states, n: int, grid: Grid1D, tol_rel: float) -> OracleResult:
-    """State n of ``states`` on ``build``'s problem, bracketed by a window of
-    20% of |E| around it, capped at 45% of each gap to a neighbour."""
+    """State n of ``states`` on ``build``'s problem, from its closed form, in a
+    window of 20% of |E| around it, capped at 45% of each gap to a neighbour."""
     energy = states[n].energy
     pad_dn = pad_up = 0.2 * abs(energy)
     if n + 1 < len(states):
         pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
     if n > 0:
         pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
-    return _solve_dual(build, grid, n, (energy - pad_dn, energy + pad_up), tol_rel)
+    return _solve_dual(build, grid, n, (energy - pad_dn, energy + pad_up), tol_rel, energy)

@@ -18,6 +18,9 @@ from morsebound.potentials import (
 )
 
 
+HUGE = "1" + "0" * 400  # an integer argparse accepts and no float holds
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -238,6 +241,17 @@ class TestVerifyCommand:
         # both ends finite, but the width overflows: no NaN sample points
         (["wavefunction", "--system", "morse", "--v1", "-8", "--v2", "8",
           "--min=-1e308", "--max=1e308", "--samples", "3"], {}),
+        # a well of 14142 states, past the 10001 rows of the largest --nmax table
+        (["spectrum", "--system", "morse", "--v1=-2e4", "--v2", "1"], {}),
+        # a well strength past the float range: no count at all
+        (["spectrum", "--system", "morse", "--v1=-1e308", "--v2", "1e-300"], {}),
+        # counts too large for a float, caught where S is formed
+        (["spectrum", "--system", "sho", "--dim", HUGE, "--omega", "1"], {}),
+        (["map", "--system", "sho", "--dim", HUGE, "--omega", "1", "--energy", "2"], {}),
+        (["spectrum", "--system", "coulomb", "--dim", "3", "--l", HUGE, "--z", "-1"], {}),
+        # S^2 is a float, but not the integer (D-2)^2 of the critical-coupling message
+        (["spectrum", "--system", "sho", "--dim", "14" + "0" * 153, "--beta=-1e308",
+          "--omega", "1"], {}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
@@ -306,6 +320,9 @@ class TestUsageErrors:
         ["degeneracy", "--dim", "3", "--lmax", "1001"],
         ["degeneracy", "--dim", "1001", "--lmax", "2"],
         ["degeneracy", "--dim", "100000", "--lmax", "10000"],  # d_l(D) past 4300 digits
+        ["verify", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "10001"],
+        ["wavefunction", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "10001",
+         "--min", "0", "--max", "3"],
     ])
     def test_count_past_its_cap(self, capsys, argv):
         with pytest.raises(SystemExit) as err:

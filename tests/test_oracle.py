@@ -173,6 +173,20 @@ class TestRatioKernel:
             assert value == pytest.approx(mismatch, rel=1e-9)
 
 
+COULOMB_5D_P = RadialProblem(dim=5, l=1, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
+
+
+def _start_cases():
+    """(shooting problem, bracket holding states 0 and 1, both energies) per system."""
+    e0, e1, e2 = (st.energy for st in coulomb_spectrum(5, 1, 0.0, -1.0, 1.0, 1.0, 2))
+    coulomb = oracle._radial_builder(COULOMB_5D_P)(
+        oracle._default_radial_grid(COULOMB_5D_P, e1))
+    yield coulomb, (1.2 * e0, 0.5 * (e1 + e2)), e0, e1
+    e0, e1 = (st.energy for st in morse_spectrum(TWO_STATE))
+    yield oracle._morse_builder(TWO_STATE)(oracle._morse_default_grid(TWO_STATE, None)), \
+        (1.2 * e0, 0.5 * e1), e0, e1
+
+
 class TestRefinement:
     def test_high_coulomb_state(self):
         # D = 3, l = 2, n = 5: the window {S = 5} is narrow next to the bracket.
@@ -205,6 +219,20 @@ class TestRefinement:
         result = solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0, 1.0, 1.0, (-50.0, -0.5))
         assert result.eigenvalue == pytest.approx(-1.125, rel=1e-6)
         assert result.node_count == 0
+
+    @pytest.mark.parametrize("case", list(_start_cases()), ids=["coulomb-5d-p", "morse"])
+    def test_any_guess_finds_the_same_state(self, case):
+        # The neighbouring state, a point outside the bracket and the closed
+        # form only change the probes: the state and its energy stay.
+        prob, bracket, e0, e1 = case
+        tol_rel = 1e-10
+        want, nodes = oracle._locate(prob, 0, bracket, tol_rel)
+        assert nodes == 0
+        assert want == pytest.approx(e0, rel=1e-6)
+        for guess in (e1, 2.0 * bracket[0], bracket[1] + 1.0, e0):
+            energy, nodes = oracle._locate(prob, 0, bracket, tol_rel, guess)
+            assert nodes == 0
+            assert abs(energy - want) <= tol_rel * abs(want)
 
 
 class TestInputChecks:
@@ -407,6 +435,21 @@ class TestScan:
         results = scan_spectrum(shallow, (-2.0, -1e-12), 5,
                                 grid=Grid1D(-2.5, 30.0, 6001), mass=1.0, hbar=1.0)
         assert results == []
+
+    def test_each_mesh_is_built_once(self):
+        # One call on the requested mesh and one on the doubled-spacing mesh
+        # serve all three states of the window.
+        calls = []
+
+        def potential(x):
+            calls.append(x.size)
+            t = np.exp(-x)
+            return -12.0 * t + 8.0 * t * t
+
+        results = scan_spectrum(potential, (-4.0, -0.01), 5, grid=Grid1D(-2.5, 30.0, 6001),
+                                mass=1.0, hbar=1.0)
+        assert [r.node_count for r in results] == [0, 1, 2]
+        assert calls == [6001, 3001]
 
     def test_callable_requires_grid(self):
         with pytest.raises(DomainError):
