@@ -16,8 +16,9 @@ Counts are capped before anything is allocated, with exit 2 past a cap:
 ``--nmax`` and ``--n`` 10000, ``--samples`` 100000, ``--lmax`` and
 ``degeneracy --dim`` 1000.  A negative state index, a non-finite ``--min``,
 ``--max`` or width, a Morse well of more than 10001 states, a ``--dim`` or
-``--l`` too large for a float, and an oracle mesh past 1,250,001 points are
-domain errors (exit 1).
+``--l`` too large for a float, couplings whose energy or length scale is not
+a float, a wavefunction sample that is not finite, and an oracle mesh past
+1,250,001 points are domain errors (exit 1).
 
 Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
 MORSEBOUND_POINTS (points of the oracle's default mesh, 8001 for every
@@ -149,6 +150,14 @@ def _morse_states(args):
     return morse_spectrum(params)
 
 
+def _oscillator_image(args):
+    """(delta, z) of the oscillator, z = m*omega^2/2, once omega^2 is a float."""
+    try:
+        return 2, 0.5 * args.mass * args.omega ** 2
+    except OverflowError:
+        raise DomainError(f"omega={args.omega} is too large for omega^2 to be a float") from None
+
+
 def _radial_label(args, state):
     return state.family, state.dim, state.l, args.beta, state.S
 
@@ -169,7 +178,7 @@ _SYSTEMS = {
         wave=lambda a, st: partial(potentials.sho_eigenfunction, st, a.omega, a.mass, a.hbar),
         solve=lambda o, a, n, **kw: o.solve_sho(
             a.dim, a.l, a.beta, a.omega, a.mass, a.hbar, n, **kw),
-        radial=lambda a: (2, 0.5 * a.mass * a.omega ** 2),
+        radial=_oscillator_image,
     ),
     "coulomb": _System(
         flags=("dim", "z"),
@@ -266,6 +275,8 @@ def _cmd_wavefunction(args, parser) -> int:
     step = width / div  # np.linspace's floats; numpy scales i/div when the step underflows
     xs = [args.lo + (i * step if step else i / div * width) for i in range(div)] + [args.hi]
     rows = [[repr(x), repr(float(u(x)))] for x in xs]
+    if bad := next((row for row in rows if row[1] in ("nan", "inf", "-inf")), None):
+        raise DomainError(f"u({bad[0]}) = {bad[1]}: the closed form leaves the float range")
     writer = csv.writer(sys.stdout)
     writer.writerow(["r_or_x", "u_value"])
     writer.writerows(rows)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CriticalCouplingError, DomainError, UnsupportedDeltaError
+from .morse import MorseParams, well_strength
 
 __all__ = [
     "RadialProblem",
@@ -159,63 +160,41 @@ def origin_exponent(problem: RadialProblem) -> float:
 def quantized_energy_via_morse(problem: RadialProblem, n: int) -> float:
     """Energy of radial state n obtained through the Morse image.
 
-    Solves the Morse quantization condition n + s + 1/2 = strength(image)
+    Solves the Morse quantization condition n + s + 1/2 = well_strength(image)
     for the trial energy, with s pinned to Lam*S by the image's fixed Morse
-    energy -(hbar*Lam*alpha*S)^2/(2m).  This is the mapping route checked
-    against the direct closed forms; it agrees with them to near machine
-    precision but exercises :func:`to_morse` at every bisection step.
+    energy -(hbar*Lam*alpha*S)^2/(2m).  The image is a well on one side of
+    zero (E > 0 for the oscillator, E < 0 for Coulomb), and there the strength
+    grows with the signed energy, so 64 geometric bisection steps in |E| on
+    [e^-708, e^708] pin E to a float's precision, with a :func:`to_morse` call
+    at each.  DomainError: no well on either side, or no such E for which the
+    strength is a float.
     """
     if n < 0:
         raise DomainError(f"radial quantum number must be >= 0, got {n}")
-    af = angular_factor(problem.dim, problem.l, problem.beta)
-    if problem.delta == 2:
-        if problem.z <= 0.0:
-            raise DomainError("oscillator mapping requires z = m*omega^2/2 > 0")
-        lam = 0.5
-    elif problem.delta == -1:
-        if problem.z >= 0.0:
-            raise DomainError("Coulomb mapping requires an attractive coupling z < 0")
-        lam = 1.0
+    s_value = angular_factor(problem.dim, problem.l, problem.beta).S
+    for sign in (1.0, -1.0):
+        image = to_morse(problem, sign)
+        if image.v1 < 0.0 < image.v2:
+            target = n + image.lam * s_value + 0.5
+            break
     else:
-        raise UnsupportedDeltaError(
-            f"delta={problem.delta}: a pure inversely quadratic potential holds no bound states"
-        )
-    target = n + lam * af.S + 0.5
+        raise DomainError(f"the Morse image of z={problem.z}, delta={problem.delta} "
+                          "has no well at any trial energy")
 
-    def excess(energy: float) -> float:
-        image = to_morse(problem, energy)
-        strength = problem.mass * abs(image.v1) / (
-            problem.hbar * image.alpha_eff * math.sqrt(2.0 * problem.mass * image.v2)
-        )
-        return strength - target
-
-    # ``excess`` is monotonically increasing in the trial energy on the
-    # physical domain for both families, so plain bisection is exact.
-    if problem.delta == 2:
-        scale = problem.hbar * math.sqrt(2.0 * problem.z / problem.mass)  # hbar*omega
-        lo, hi = 1e-300, scale
-        grow = 0
-        while excess(hi) < 0.0:
-            hi *= 2.0
-            grow += 1
-            if grow > 200:
-                raise DomainError("quantization condition has no solution at this n")
-    else:
-        bohr = problem.hbar ** 2 / (problem.mass * abs(problem.z))
-        scale = problem.hbar ** 2 / (2.0 * problem.mass * bohr ** 2)
-        lo, hi = -scale, -1e-300
-        grow = 0
-        while excess(lo) > 0.0:
-            lo *= 2.0
-            grow += 1
-            if grow > 200:
-                raise DomainError("quantization condition has no solution at this n")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
+    lo, hi = math.exp(-708.0), math.exp(708.0)
+    for _ in range(64):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        image = to_morse(problem, sign * mid)
+        strength = well_strength(MorseParams(image.v1, image.v2, image.alpha_eff,
+                                             problem.mass, problem.hbar))
+        # too weak a well: raise the signed energy
+        if (strength < target) == (sign > 0.0):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    # The last probe lies within an ulp or two of the root, unless the root is
+    # past a range end (lo or hi never moved) or where m*|v1| or sqrt(2*m*v2)
+    # leaves the float range (they closed on that edge).
+    if not abs(strength - target) <= 1e-9 * target:
+        raise DomainError(f"no |E| in [e^-708, e^708] gives state n={n} in float arithmetic")
+    return sign * math.sqrt(lo) * math.sqrt(hi)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import laguerre, log_gamma
+from .specfun import _log_space_product, laguerre, log_gamma
 
 __all__ = [
     "MorseParams",
@@ -24,11 +24,6 @@ __all__ = [
     "potential",
     "xi_of_x",
 ]
-
-# Above this value of xi the prefactor xi**s * exp(-xi/2) is evaluated in log
-# space to dodge intermediate overflow (xi grows like exp(-alpha*x)).
-_XI_DIRECT_MAX = 700.0
-
 
 @dataclass(frozen=True)
 class MorseParams:
@@ -122,14 +117,15 @@ def spectrum(params: MorseParams) -> list[MorseState]:
     for n in range(count):
         s = strength - n - 0.5
         energy = -depth_scale * (1.0 - (n + 0.5) / strength) ** 2
-        log_norm = 0.5 * (
-            math.log(params.alpha)
-            + log_gamma(n + 1.0)
-            + math.log(2.0 * s)
-            - log_gamma(n + 2.0 * s + 1.0)
-        )
-        states.append(MorseState(n=n, s=s, energy=energy, norm_const=math.exp(log_norm)))
+        states.append(MorseState(n=n, s=s, energy=energy,
+                                 norm_const=math.exp(_log_norm(params.alpha, n, s))))
     return states
+
+
+def _log_norm(alpha: float, n: int, s: float) -> float:
+    """ln N_n = (ln alpha + ln n! + ln 2s - ln Gamma(n + 2s + 1)) / 2."""
+    return 0.5 * (math.log(alpha) + log_gamma(n + 1.0) + math.log(2.0 * s)
+                  - log_gamma(n + 2.0 * s + 1.0))
 
 
 def xi_of_x(params: MorseParams, x: float) -> float:
@@ -160,25 +156,13 @@ def eigenfunction(params: MorseParams, state: MorseState, x: float) -> float:
     """Normalized bound-state wavefunction psi_n(x).
 
     psi_n = N_n * xi^s * exp(-xi/2) * L_n^(2s)(xi) with xi = xi_of_x(x); it
-    vanishes like xi^s as x -> +inf and like exp(-xi/2) as x -> -inf.
+    vanishes like xi^s as x -> +inf and like exp(-xi/2) as x -> -inf.  The
+    product is formed from its logarithms, with ln N_n computed afresh rather
+    than from ``state.norm_const``, which underflows to 0 in deep wells.
     """
     _require_member(params, state)
     xi = xi_of_x(params, x)
     if xi == 0.0 or math.isinf(xi):
         return 0.0
-    if xi <= _XI_DIRECT_MAX:
-        return (
-            state.norm_const
-            * xi ** state.s
-            * math.exp(-0.5 * xi)
-            * laguerre(state.n, 2.0 * state.s, xi)
-        )
-    lag = laguerre(state.n, 2.0 * state.s, xi)
-    if lag == 0.0:
-        return 0.0
-    exponent = (
-        math.log(state.norm_const) + state.s * math.log(xi) - 0.5 * xi + math.log(abs(lag))
-    )
-    if exponent < -745.0:
-        return 0.0
-    return math.copysign(math.exp(exponent), lag)
+    return _log_space_product(_log_norm(params.alpha, state.n, state.s), state.s, xi,
+                              0.5 * xi, laguerre(state.n, 2.0 * state.s, xi))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, FamilyMismatchError
 from .langer import angular_factor
-from .specfun import laguerre, log_gamma
+from .specfun import _log_space_product, laguerre, log_gamma
 
 __all__ = [
     "RadialState",
@@ -70,6 +70,8 @@ def sho_spectrum(dim: int, l: int, beta: float, omega: float, mass: float,
         raise DomainError(f"omega must be positive and finite, got {omega}")
     _check_tower(mass, hbar, n_max)
     af = angular_factor(dim, l, beta)
+    if not math.isfinite(top := hbar * omega * (2.0 * n_max + 1.0 + af.S)):
+        raise DomainError(f"level n={n_max} overflows a float: hbar*omega*(2n + 1 + S) = {top}")
     return [
         RadialState(n=n, l=l, dim=dim, S=af.S,
                     energy=hbar * omega * (2.0 * n + 1.0 + af.S), family=OSCILLATOR)
@@ -84,17 +86,26 @@ def coulomb_spectrum(dim: int, l: int, beta: float, z: float, mass: float,
     Here a = hbar^2/(m|z|) and binding requires z < 0; the energies are
     negative and increase strictly toward zero with n.
     """
-    if not -math.inf < z < 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
     _check_tower(mass, hbar, n_max)
     af = angular_factor(dim, l, beta)
-    a = hbar * hbar / (mass * abs(z))
-    rydberg = hbar * hbar / (2.0 * mass * a * a)
+    rydberg = _coulomb_scales(z, mass, hbar)[1]
     return [
         RadialState(n=n, l=l, dim=dim, S=af.S,
                     energy=-rydberg / (n + 0.5 + af.S) ** 2, family=COULOMB)
         for n in range(n_max + 1)
     ]
+
+
+def _coulomb_scales(z: float, mass: float, hbar: float) -> tuple[float, float]:
+    """Coulomb length a = hbar^2/(m|z|) and Rydberg energy hbar^2/(2 m a^2), as floats."""
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
+    a = hbar * hbar / (mass * abs(z)) if mass * abs(z) > 0.0 else math.inf
+    rydberg = hbar * hbar / (2.0 * mass * a * a) if 2.0 * mass * a * a > 0.0 else math.inf
+    if not (0.0 < a < math.inf and 0.0 < rydberg < math.inf):
+        raise DomainError(f"z={z}, mass={mass} and hbar={hbar} put the Coulomb length "
+                          f"hbar^2/(m|z|) or the Rydberg energy outside the float range")
+    return a, rydberg
 
 
 def _check_member(state: RadialState, mass: float, hbar: float, energy: float) -> None:
@@ -103,20 +114,6 @@ def _check_member(state: RadialState, mass: float, hbar: float, energy: float) -
             and abs(state.energy - energy) <= 1e-12 * abs(energy)):
         raise DomainError(f"state energy {state.energy} does not match mass={mass}, "
                           f"hbar={hbar} and the coupling, which give {energy}")
-
-
-def _radial_value(prefactor_log: float, power: float, r: float, half_arg: float,
-                  lag: float) -> float:
-    # u = exp(prefactor_log) * r**power * exp(-half_arg) * lag, evaluated in
-    # log space when the pieces would overflow or underflow individually.
-    if half_arg <= 350.0:
-        return math.exp(prefactor_log) * r ** power * math.exp(-half_arg) * lag
-    if lag == 0.0:
-        return 0.0
-    exponent = prefactor_log + power * math.log(r) - half_arg + math.log(abs(lag))
-    if exponent < -745.0:
-        return 0.0
-    return math.copysign(math.exp(exponent), lag)
 
 
 def sho_eigenfunction(state: RadialState, omega: float, mass: float, hbar: float,
@@ -138,12 +135,9 @@ def sho_eigenfunction(state: RadialState, omega: float, mass: float, hbar: float
     gam = mass * omega / hbar
     t = gam * r * r
     # A = sqrt(2 * n! * gam^(S+1) / Gamma(n + S + 1))
-    log_a = 0.5 * (
-        math.log(2.0) + log_gamma(state.n + 1.0) + (state.S + 1.0) * math.log(gam)
-        - log_gamma(state.n + state.S + 1.0)
-    )
-    lag = laguerre(state.n, state.S, t)
-    return _radial_value(log_a, 0.5 + state.S, r, 0.5 * t, lag)
+    log_a = 0.5 * (math.log(2.0) + log_gamma(state.n + 1.0) + (state.S + 1.0) * math.log(gam)
+                   - log_gamma(state.n + state.S + 1.0))
+    return _log_space_product(log_a, 0.5 + state.S, r, 0.5 * t, laguerre(state.n, state.S, t))
 
 
 def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float,
@@ -157,26 +151,20 @@ def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float
     """
     if state.family != COULOMB:
         raise FamilyMismatchError(f"expected a coulomb state, got family={state.family!r}")
-    if not -math.inf < z < 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
     if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
-    a = hbar * hbar / (mass * abs(z))
+    a, rydberg = _coulomb_scales(z, mass, hbar)
     nu = state.n + 0.5 + state.S
-    _check_member(state, mass, hbar, -hbar * hbar / (2.0 * mass * (a * nu) ** 2))
+    _check_member(state, mass, hbar, -rydberg / nu ** 2)
     if r == 0.0:
         return 0.0
     length = a * nu
     t = 2.0 * r / length
     # B = sqrt(n! / ((length/2)^(2S+2) * 2*nu * Gamma(n + 2S + 1)))
-    log_b = 0.5 * (
-        log_gamma(state.n + 1.0)
-        - (2.0 * state.S + 2.0) * math.log(0.5 * length)
-        - math.log(2.0 * nu)
-        - log_gamma(state.n + 2.0 * state.S + 1.0)
-    )
-    lag = laguerre(state.n, 2.0 * state.S, t)
-    return _radial_value(log_b, 0.5 + state.S, r, 0.5 * t, lag)
+    log_b = 0.5 * (log_gamma(state.n + 1.0) - (2.0 * state.S + 2.0) * math.log(0.5 * length)
+                   - math.log(2.0 * nu) - log_gamma(state.n + 2.0 * state.S + 1.0))
+    return _log_space_product(log_b, 0.5 + state.S, r, 0.5 * t,
+                              laguerre(state.n, 2.0 * state.S, t))
 
 
 def degeneracy(dim: int, l: int) -> DegeneracyRecord:
@@ -221,13 +209,10 @@ def pure_coulomb_levels(dim: int, z: float, mass: float, hbar: float,
     formula is exposed as written (N - 1/2 in the denominator label), an
     extrapolation not singled out by the relabeling argument.
     """
-    if not -math.inf < z < 0.0:
-        raise DomainError(f"attractive Coulomb coupling requires finite z < 0, got {z}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_tower(mass, hbar, n_max)
-    a = hbar * hbar / (mass * abs(z))
-    rydberg = hbar * hbar / (2.0 * mass * a * a)
+    rydberg = _coulomb_scales(z, mass, hbar)[1]
     levels = []
     for big_n in range(1, n_max + 1):
         energy = -rydberg / (big_n + (dim - 3) / 2.0) ** 2

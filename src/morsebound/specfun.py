@@ -1,9 +1,10 @@
 """Special functions and half-line quadrature behind the closed-form spectra.
 
 Everything here is scalar arithmetic with no dependencies beyond the standard
-library.  The generalized Laguerre recurrence is the building block of every
-bound-state eigenfunction in the package; the double-exponential quadrature
-supplies the numerical side of every normalization and orthogonality test.
+library.  The Laguerre recurrence and ``_log_space_product`` build every
+bound-state eigenfunction in the package; ``log_gamma`` is ``math.lgamma``; the
+double-exponential quadrature supplies the numerical side of every
+normalization and orthogonality test.
 """
 
 from __future__ import annotations
@@ -57,38 +58,25 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     return cur
 
 
-# Lanczos rational approximation, g = 7, nine terms.  Relative accuracy of
-# log_gamma is a few 1e-15 across the positive axis, comfortably inside the
-# 1e-13 contract on [0.5, 200].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
+    """Natural log of the Gamma function for x > 0 (``math.lgamma``)."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    if x < 0.5:
-        # Recurrence Gamma(x) = Gamma(x+1)/x keeps the Lanczos sum in its
-        # accurate band.
-        return log_gamma(x + 1.0) - math.log(x)
-    xm1 = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (xm1 + k)
-    t = xm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
+
+
+def _log_space_product(log_norm: float, power: float, x: float, half: float,
+                       lag: float) -> float:
+    """exp(log_norm) * x**power * exp(-half) * lag, the shape of every eigenfunction.
+
+    The factors may leave the float range on their own (a deep Morse well, a
+    high l) while the product does not, so their logarithms are summed.  A
+    non-finite ``lag`` gives inf or nan.
+    """
+    if lag == 0.0:
+        return 0.0
+    return math.copysign(
+        math.exp(log_norm + power * math.log(x) - half + math.log(abs(lag))), lag)
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10,

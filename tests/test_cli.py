@@ -110,6 +110,20 @@ class TestWavefunctionCommand:
         assert code == 1
         assert "does not exist" in err
 
+    @pytest.mark.parametrize("argv", [
+        # s = 282.3 and norm_const underflows to 0.0
+        ["--system", "morse", "--v1=-400", "--v2", "1", "--n", "0",
+         "--min=-5.3", "--max=-5.2", "--samples", "3"],
+        # r**(1/2+S) = 40**501 overflows a float on its own
+        ["--system", "sho", "--dim", "3", "--l", "500", "--omega", "1", "--n", "0",
+         "--min", "0", "--max", "40", "--samples", "9"],
+    ], ids=["deep-morse-well", "sho-l500"])
+    def test_deep_well_and_high_l_are_finite(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "wavefunction", *argv)
+        assert code == 0
+        values = [float(row[1]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert all(math.isfinite(v) for v in values) and any(values)
+
     @pytest.mark.parametrize("system,lo,hi,samples", [
         ("morse", -2.0, 10.0, 2),
         ("morse", -2.0, 10.0, 3),
@@ -252,6 +266,20 @@ class TestVerifyCommand:
         # S^2 is a float, but not the integer (D-2)^2 of the critical-coupling message
         (["spectrum", "--system", "sho", "--dim", "14" + "0" * 153, "--beta=-1e308",
           "--omega", "1"], {}),
+        # Coulomb length or Rydberg energy outside the float range, and an
+        # oscillator level or coupling that overflows
+        (["spectrum", "--system", "coulomb", "--dim", "3", "--z=-1e200", "--mass", "1e200"], {}),
+        (["wavefunction", "--system", "coulomb", "--dim", "3", "--z=-1e300", "--n", "0",
+          "--min", "0", "--max", "1"], {}),
+        (["spectrum", "--system", "coulomb", "--dim", "3", "--z=-1e-200", "--hbar", "1e200"], {}),
+        (["spectrum", "--system", "sho", "--dim", "3", "--omega", "1e308"], {}),
+        (["map", "--system", "sho", "--dim", "3", "--omega", "1e200", "--energy", "1"], {}),
+        # wavefunction samples that are not finite: L_10000 overflows at t = 2500,
+        # and r = 1e300 puts t = r^2 past the float range
+        (["wavefunction", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "10000",
+          "--min", "0", "--max", "100"], {}),
+        (["wavefunction", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "3",
+          "--min", "0", "--max", "1e300"], {}),
     ])
     def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():

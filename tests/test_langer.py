@@ -183,6 +183,33 @@ class TestQuantizedEnergyViaMorse:
         problem = radial(dim=3, l=0, beta=0.75, delta=-1, z=-1.0)
         assert quantized_energy_via_morse(problem, 0) == pytest.approx(-2.0 / 9.0, rel=1e-13)
 
+    @pytest.mark.parametrize("delta,coupling,mass,n", [
+        (2, 1e-100, 1.0, 0),  # omega = 1e-100
+        (2, 1.0, 1e100, 2),  # omega = 1, m = 1e100
+        (-1, -1.0, 1e-60, 3),  # Coulomb, m = 1e-60
+        (-1, -1e-150, 1.0, 1),  # Coulomb, z = -1e-150
+    ])
+    def test_extreme_scales_match_the_closed_forms(self, delta, coupling, mass, n):
+        from morsebound.potentials import coulomb_spectrum, sho_spectrum
+
+        if delta == 2:
+            exact = sho_spectrum(3, 1, 0.75, coupling, mass, 1.0, n)[n].energy
+            z = 0.5 * mass * coupling ** 2
+        else:
+            exact = coulomb_spectrum(3, 1, 0.75, coupling, mass, 1.0, n)[n].energy
+            z = coupling
+        problem = radial(dim=3, l=1, beta=0.75, delta=delta, z=z, mass=mass)
+        # abs=0: approx's default 1e-12 floor would pass any of these tiny energies
+        assert quantized_energy_via_morse(problem, n) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("delta,z", [
+        (-1, -1e300),  # E_0 = -m z^2 / (2 hbar^2 (1/2 + S)^2) = -5e600
+        (2, 1e308),  # sqrt(2 m v2) = sqrt(m z / 2) overflows at every trial energy
+    ])
+    def test_energy_past_the_float_range_is_rejected(self, delta, z):
+        with pytest.raises(DomainError):
+            quantized_energy_via_morse(radial(delta=delta, z=z, mass=10.0), 0)
+
     def test_rejects_wrong_sign_couplings(self):
         with pytest.raises(DomainError):
             quantized_energy_via_morse(radial(delta=2, z=-0.5), 0)

@@ -107,6 +107,25 @@ class TestEigenfunction:
             val = integrate_halfline(density, decay_scale=2.0 * st.s + 1.0, tol=1e-10)
             assert val == pytest.approx(params.alpha, rel=1e-7)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_deep_well_normalization(self, n):
+        # v1 = -400, v2 = 1: s = 282.3 - n, and norm_const underflows to 0.0, so
+        # the eigenfunction must take its norm in log form.  The state is one
+        # peak near xi = 2s; the x-space norm is int dxi psi^2 / (alpha * xi).
+        from morsebound.specfun import integrate_halfline
+
+        params = MorseParams(-400.0, 1.0, 1.0, 1.0, 1.0)
+        st = spectrum(params)[n]
+        assert st.norm_const == 0.0
+        scale = 2.0 * math.sqrt(2.0 * params.mass * params.v2) / (params.hbar * params.alpha)
+
+        def density(xi):
+            x = -math.log(xi / scale) / params.alpha
+            return eigenfunction(params, st, x) ** 2 / (params.alpha * xi)
+
+        norm = integrate_halfline(density, decay_scale=2.0 * st.s + 1.0, tol=1e-11)
+        assert norm == pytest.approx(1.0, abs=1e-8)
+
     def test_node_counts(self):
         xs = np.linspace(-2.0, 14.0, 8001)
         for st in spectrum(TWO_STATE):

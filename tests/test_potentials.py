@@ -110,6 +110,20 @@ class TestEigenfunctions:
                     decay_scale=2.0 * (n + 1))
                 assert norm == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("family,l,decay_scale", [
+        ("oscillator", 500, 22.0),  # peak near r = sqrt(l)
+        ("coulomb", 300, 9e4),  # peak near r = l^2
+    ])
+    def test_high_l_normalization(self, family, l, decay_scale):
+        # r**(1/2+S) overflows a float on its own here (40**501 for l = 500)
+        if family == "oscillator":
+            st = sho_spectrum(3, l, 0.0, 1.0, 1.0, 1.0, 2)[2]
+            u = lambda r: sho_eigenfunction(st, 1.0, 1.0, 1.0, r)  # noqa: E731
+        else:
+            st = coulomb_spectrum(3, l, 0.0, -1.0, 1.0, 1.0, 2)[2]
+            u = lambda r: coulomb_eigenfunction(st, -1.0, 1.0, 1.0, r)  # noqa: E731
+        assert radial_overlap(u, u, decay_scale=decay_scale) == pytest.approx(1.0, abs=1e-8)
+
     def test_hydrogen_ground_shape(self):
         # D=3, beta=0, n=l=0 must recover u = 2 r exp(-r)
         st = coulomb_spectrum(3, 0, 0.0, -1.0, 1.0, 1.0, 0)[0]
