@@ -20,9 +20,9 @@ Counts are capped before anything is allocated, with exit 2 past a cap:
 a float, a wavefunction sample that is not finite, and an oracle mesh past
 1,250,001 points are domain errors (exit 1).
 
-Environment overrides: MORSEBOUND_TOL (default verify tolerance, 1e-6) and
-MORSEBOUND_POINTS (points of the oracle's default mesh, 8001 for every
-system).
+``verify --tol`` sets the relative tolerance (default 1e-6) and ``--points``
+the points of the oracle's default mesh (8001 for every system); no
+environment variable sets either.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,9 +42,6 @@ from .langer import RadialProblem, angular_factor, origin_exponent, to_morse
 from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum as morse_spectrum
 from .morse import state_count
 
-_ENV_TOL = "MORSEBOUND_TOL"
-_ENV_POINTS = "MORSEBOUND_POINTS"
-
 # Caps on the counts the command line accepts.  d_l(D) for D, l <= 1000 has
 # at most about 600 digits, well inside what json and csv will print.
 _MAX_NMAX = 10_000
@@ -54,17 +50,6 @@ _MAX_LMAX = 1000
 _MAX_DIM = 1000
 
 _STATE_COLUMNS = ["family", "dim", "n", "l", "beta", "S", "energy", "hbar", "mass", "provenance"]
-
-
-def _env_number(name, parse, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return parse(raw)
-    except ValueError:
-        raise DomainError(
-            f"environment variable {name}={raw!r} is not a valid {parse.__name__}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare analytic energies against the Numerov oracle")
     vf.add_argument("--n", type=int, action="append",
                     help="state index to verify (repeatable; default 0)")
-    vf.add_argument("--tol", type=float, default=None,
-                    help="relative tolerance (default MORSEBOUND_TOL or 1e-6)")
+    vf.add_argument("--tol", type=float, default=1e-6,
+                    help="relative tolerance (default 1e-6)")
     vf.add_argument("--points", type=int, default=None,
-                    help="oracle default-mesh points (default MORSEBOUND_POINTS or 8001)")
+                    help="oracle default-mesh points (default 8001)")
 
     dg = sub.add_parser("degeneracy", help="hyperspherical degeneracy table d_l(D)")
     dg.add_argument("--dim", type=int, required=True)
@@ -319,16 +304,14 @@ def _cmd_verify(args, parser) -> int:
     if max(args.n or [0]) > _MAX_NMAX:
         parser.error(f"--n must be at most {_MAX_NMAX}")
     from . import oracle  # numpy comes with it; the other subcommands do without both
-    tol = args.tol if args.tol is not None else _env_number(_ENV_TOL, float, 1e-6)
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"verify tolerance must be positive and finite, got {tol}")
-    points = args.points if args.points is not None else _env_number(_ENV_POINTS, int, None)
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError(f"verify tolerance must be positive and finite, got {args.tol}")
     system = _system(args, parser)
 
     checks = []
     for n in sorted(set(args.n)) if args.n else [0]:
         state = _state(args, n)
-        result = system.solve(oracle, args, n, points=points)
+        result = system.solve(oracle, args, n, points=args.points)
         deviation = abs(result.eigenvalue - state.energy) / max(abs(state.energy), 1e-300)
         checks.append({
             "analytic": _record(args, state),
@@ -336,12 +319,12 @@ def _cmd_verify(args, parser) -> int:
             "node_count": result.node_count,
             "richardson_error_estimate": result.richardson_error_estimate,
             "relative_deviation": deviation,
-            "pass": deviation <= tol,
+            "pass": deviation <= args.tol,
         })
     payload = {
         "command": "verify",
         "system": args.system,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "all_pass": all(check["pass"] for check in checks),
         "checks": checks,
     }

@@ -164,5 +164,5 @@ def eigenfunction(params: MorseParams, state: MorseState, x: float) -> float:
     xi = xi_of_x(params, x)
     if xi == 0.0 or math.isinf(xi):
         return 0.0
-    return _log_space_product(_log_norm(params.alpha, state.n, state.s), state.s, xi,
-                              0.5 * xi, laguerre(state.n, 2.0 * state.s, xi))
+    return _log_space_product(_log_norm(params.alpha, state.n, state.s), state.s, xi, xi,
+                              state.n, 2.0 * state.s, laguerre(state.n, 2.0 * state.s, xi))

@@ -5,7 +5,8 @@ package.  It integrates y'' = f y with f = f0 - w E using the
 three-point Numerov scheme (fourth order in the spacing) in Johnson's
 renormalized form: one kernel carries the ratio R[i] = F[i+1]/F[i] of
 F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
-a node is a negative ratio.  Forward node counts check the bracket ends.  Each
+a node is a negative ratio.  Forward node counts at the bracket ends, made once
+per call on the requested mesh, check a solve's bracket and a scan's window.  Each
 refinement step is one probe: a left sweep up to the last classical turning
 point on the mesh and a right sweep down to it give the log-derivative mismatch
 there and the matched node count S(E), the sum of the two one-sided counts.
@@ -24,9 +25,9 @@ u = sqrt(r) y on [1e-7 r_max, r_max] and the table {p: (a_p, b_p)} =
 2: (k v2/alpha^2, 0)}.  rho = 0 is a regular singular point: the Frobenius
 series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two values.
 
-The solve_* wrappers guess the closed form.  Every solve is repeated, from its
-result, on a mesh with doubled spacing; the difference, scaled by 1/15, is
-reported as a Richardson error estimate.  A scan builds each mesh once.
+The solve_* wrappers guess the closed form.  Every solve is refined again from
+its result, uncounted, on a mesh with doubled spacing; the difference, scaled by
+1/15, is reported as a Richardson error estimate.  A scan builds each mesh once.
 """
 
 from __future__ import annotations
@@ -181,11 +182,11 @@ class _Shooting:
         last = _last_true(allowed) if allowed.any() else int(np.argmin(self._g))
         return min(max(last, i0 + 2), i1 - 2)
 
-    def forward_nodes(self, energy: float, cap: int | None = None) -> int:
+    def forward_nodes(self, energy: float) -> int:
         """Sign changes of the forward solution: the count of mesh eigenvalues below E."""
         i0, i1 = self._bounds(energy)
         seed = self._seed_left(energy, i0) * self._c_ratio(i0 + 1, i0)
-        return _sweep(seed, self._u[i0 + 1:i1], cap)[0]
+        return _sweep(seed, self._u[i0 + 1:i1])[0]
 
     def probe(self, energy: float):
         """Node count S(E) of the matched solution and the matching mismatch.
@@ -222,15 +223,15 @@ def _last_true(mask: np.ndarray) -> int:
     return mask.size - 1 - int(mask[::-1].argmax())
 
 
-def _sweep(ratio: float, coeffs, cap: int | None = None):
+def _sweep(ratio: float, coeffs):
     """Johnson's renormalized Numerov recurrence R[i] = U[i] - 1/R[i-1].
 
     R[i] = F[i+1]/F[i] with F = c*y, so a negative ratio is a node of y.
     Starts from the seed ratio, runs over ``coeffs`` (an array or strided view
-    of the U values in sweep order) and returns the number of nodes met
-    (stopping past ``cap``) and the last ratio.  Ratios cannot overflow; an exact zero (y
-    lands on a mesh point) is stepped over as a tiny positive ratio, so the
-    node is counted on the next step.
+    of the U values in sweep order) and returns the number of nodes met and
+    the last ratio.  Ratios cannot overflow; an exact zero (y lands on a mesh
+    point) is stepped over as a tiny positive ratio, so the node is counted on
+    the next step.
     """
     nodes = 0
     for u in memoryview(coeffs):  # yields Python floats without a copy
@@ -240,41 +241,27 @@ def _sweep(ratio: float, coeffs, cap: int | None = None):
                 ratio = 1e-300
             else:
                 nodes += 1
-                if cap is not None and nodes > cap:
-                    break
     return nodes, ratio
 
 
 def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
-    """Eigenvalue with ``target`` nodes inside ``bracket`` and its node count.
+    """Eigenvalue with ``target`` nodes inside ``bracket``, whose ends the caller
+    has counted, and its node count.
 
     Every step probes one energy: ``guess`` and then a pad past it toward the
     eigenvalue, each skipped outside the bracket; then bisection until both
     ends have the matched node count S = target, which pins them inside the
-    pole-free window holding the eigenvalue; then Illinois false-position
-    steps on the mismatch, kept a quarter tolerance inside the ends, or
-    bisection when three steps have not halved the bracket.
+    pole-free window holding the eigenvalue; then Illinois false-position steps
+    on the mismatch, kept a quarter tolerance inside the ends, or bisection
+    when three steps have not halved the bracket.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    n_lo = prob.forward_nodes(lo, cap=target + 1)
-    if n_lo > target:
-        raise BracketError(
-            f"node count {n_lo} at the lower bracket end exceeds the target {target}"
-        )
-    n_hi = prob.forward_nodes(hi, cap=target + 2)
-    if n_hi < target + 1:
-        raise BracketError(
-            f"node count {n_hi} at the upper bracket end does not reach {target + 1}; "
-            "the bracket holds no such eigenvalue"
-        )
     s_lo = s_hi = None  # S at each end once probed; the mismatch is > 0 at lo, <= 0 at hi
     f_lo = f_hi = 0.0
     recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
     moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
     start = guess  # probed before any bisection, then a pad past it
-    iters = 2
+    iters = 0
     while (width := hi - lo) > (tol := tol_rel * max(abs(lo), abs(hi))):
         if iters >= _MAX_ITER:
             raise ConvergenceError(f"eigenvalue refinement exhausted {_MAX_ITER} iterations")
@@ -320,16 +307,32 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
                 guess=None) -> OracleResult:
-    """Locate from ``guess`` on the requested mesh, then from its result on the
-    doubled-spacing mesh; both search all of ``bracket``."""
+    """State ``target`` from ``guess``, once the forward node counts at the
+    bracket ends on the requested mesh show that the bracket holds it."""
     _check_solve_inputs(grid, tol_rel)
     if target < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target}")
-    e_fine, nodes = _locate(build(grid), target, bracket, tol_rel, guess)
+    fine = build(grid)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    if (n := fine.forward_nodes(lo)) > target:
+        raise BracketError(f"node count {n} at the lower bracket end exceeds the target {target}")
+    if (n := fine.forward_nodes(hi)) <= target:
+        raise BracketError(f"node count {n} at the upper bracket end does not reach "
+                           f"{target + 1}; the bracket holds no such eigenvalue")
+    e_fine, nodes = _locate(fine, target, (lo, hi), tol_rel, guess)
+    del fine  # the doubled-spacing mesh is built once this one is freed
+    return _with_estimate(e_fine, nodes, build, grid, target, (lo, hi), tol_rel)
+
+
+def _with_estimate(e_fine: float, nodes: int, build, grid: Grid1D, target: int, bracket,
+                   tol_rel: float) -> OracleResult:
+    """``e_fine`` on ``grid`` with its Richardson estimate: the difference, over 15,
+    from a refinement that starts at it on the doubled-spacing mesh."""
     e_coarse = _locate(build(grid.halved()), target, bracket, tol_rel, e_fine)[0]
-    estimate = abs(e_fine - e_coarse) / 15.0
     return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
-                        richardson_error_estimate=estimate)
+                        richardson_error_estimate=abs(e_fine - e_coarse) / 15.0)
 
 
 def _line_builder(potential, mass: float, hbar: float):
@@ -432,11 +435,12 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
     """All eigenvalues inside ``energy_window``, in ascending order.
 
     ``target`` is either a :class:`RadialProblem` or a 1-D potential callable
-    (then ``grid``, ``mass`` and ``hbar`` are required).  The count inside the
-    window is read off the node counts at the window edges; each state is then
+    (then ``grid``, ``mass`` and ``hbar`` are required).  The forward node
+    counts at the window edges, made once on the requested mesh, give the
+    states inside and are the bracket check of each; each state is then
     refined individually.  If more than ``max_states`` states live in the
-    window only the lowest ``max_states`` are returned and a RuntimeWarning is
-    issued.
+    window only the lowest ``max_states`` are returned and a RuntimeWarning
+    is issued.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -455,16 +459,14 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
     _check_solve_inputs(grid, tol_rel)
     build = functools.cache(build)  # each mesh is built once for all the states
 
-    n_lo, n_hi = (build(grid).forward_nodes(energy) for energy in (lo, hi))
+    fine = build(grid)
+    n_lo, n_hi = fine.forward_nodes(lo), fine.forward_nodes(hi)
     inside = n_hi - n_lo
     if inside > max_states:
-        warnings.warn(
-            f"energy window holds {inside} states but max_states={max_states}; "
-            "returning the lowest ones (window too small to honour them all)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return [_solve_dual(build, grid, k, (lo, hi), tol_rel)
+        warnings.warn(f"energy window holds {inside} states but max_states={max_states}; "
+                      "returning the lowest ones (window too small to honour them all)",
+                      RuntimeWarning, stacklevel=2)
+    return [_with_estimate(*_locate(fine, k, (lo, hi), tol_rel), build, grid, k, (lo, hi), tol_rel)
             for k in range(n_lo, min(n_hi, n_lo + max_states))]
 
 
@@ -489,11 +491,8 @@ def _default_radial_grid(problem: RadialProblem, energy: float, points: int | No
     return Grid1D(0.0, float(rs[past[0]]), _DEFAULT_POINTS if points is None else points)
 
 
-# ---------------------------------------------------------------------------
-# Convenience entry points with analytic default brackets and grids.  The
-# bisection converges independently of where the bracket came from, so seeding
-# it from the closed forms costs nothing in independence.
-# ---------------------------------------------------------------------------
+# Convenience entry points with closed-form guesses, brackets and grids.  The refinement
+# converges wherever its bracket came from, so they cost nothing in independence.
 
 def _morse_default_grid(params: MorseParams, points: int | None) -> Grid1D:
     """x from the wall, where V reaches 500 well depths (at least 200), to the

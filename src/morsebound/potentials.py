@@ -137,7 +137,8 @@ def sho_eigenfunction(state: RadialState, omega: float, mass: float, hbar: float
     # A = sqrt(2 * n! * gam^(S+1) / Gamma(n + S + 1))
     log_a = 0.5 * (math.log(2.0) + log_gamma(state.n + 1.0) + (state.S + 1.0) * math.log(gam)
                    - log_gamma(state.n + state.S + 1.0))
-    return _log_space_product(log_a, 0.5 + state.S, r, 0.5 * t, laguerre(state.n, state.S, t))
+    return _log_space_product(log_a, 0.5 + state.S, r, t, state.n, state.S,
+                              laguerre(state.n, state.S, t))
 
 
 def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float,
@@ -163,7 +164,7 @@ def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float
     # B = sqrt(n! / ((length/2)^(2S+2) * 2*nu * Gamma(n + 2S + 1)))
     log_b = 0.5 * (log_gamma(state.n + 1.0) - (2.0 * state.S + 2.0) * math.log(0.5 * length)
                    - math.log(2.0 * nu) - log_gamma(state.n + 2.0 * state.S + 1.0))
-    return _log_space_product(log_b, 0.5 + state.S, r, 0.5 * t,
+    return _log_space_product(log_b, 0.5 + state.S, r, t, state.n, 2.0 * state.S,
                               laguerre(state.n, 2.0 * state.S, t))
 
 

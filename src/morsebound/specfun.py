@@ -65,18 +65,33 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_space_product(log_norm: float, power: float, x: float, half: float,
-                       lag: float) -> float:
-    """exp(log_norm) * x**power * exp(-half) * lag, the shape of every eigenfunction.
+def _scaled_laguerre(n: int, alpha: float, x: float):
+    """(m, s) with L_n^(alpha)(x) = m e^s for n >= 1: ``laguerre``'s recurrence with
+    (prev, cur) divided by |cur| > 1 and ln|cur| added to s, so no term overflows."""
+    prev, cur, scale = 1.0, 1.0 + alpha - x, 0.0
+    for k in range(1, n):
+        if abs(cur) > 1.0:
+            scale += math.log(abs(cur))
+            prev, cur = prev / abs(cur), math.copysign(1.0, cur)
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return cur, scale
+
+
+def _log_space_product(log_norm: float, power: float, x: float, t: float, n: int,
+                       alpha: float, lag: float) -> float:
+    """exp(log_norm) * x**power * exp(-t/2) * lag with lag = L_n^(alpha)(t), the
+    shape of every eigenfunction.
 
     The factors may leave the float range on their own (a deep Morse well, a
-    high l) while the product does not, so their logarithms are summed.  A
-    non-finite ``lag`` gives inf or nan.
+    high l, a far tail) while the product does not, so their logarithms are
+    summed, with ln|L| from ``_scaled_laguerre`` where ``lag`` is not finite.
     """
-    if lag == 0.0:
+    half = 0.5 * t
+    if half == math.inf or lag == 0.0:  # exp(-t/2) = 0 outweighs any power of t in L
         return 0.0
+    lag, scale = (lag, 0.0) if math.isfinite(lag) else _scaled_laguerre(n, alpha, t)
     return math.copysign(
-        math.exp(log_norm + power * math.log(x) - half + math.log(abs(lag))), lag)
+        math.exp(log_norm + power * math.log(x) - half + scale + math.log(abs(lag))), lag)
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10,

@@ -18,6 +18,11 @@ def laguerre_series(n, alpha, x):
     the product form valid for non-integer alpha.  Both alpha and x enter as
     exact binary fractions, so the only float rounding is the final cast.
     """
+    return float(laguerre_fraction(n, alpha, x))
+
+
+def laguerre_fraction(n, alpha, x):
+    """The exact Fraction that ``laguerre_series`` rounds to a float."""
     a = Fraction(alpha)
     xf = Fraction(x)
     total = Fraction(0)
@@ -26,7 +31,7 @@ def laguerre_series(n, alpha, x):
         for i in range(1, n - k + 1):
             binom *= (a + k + i) / i
         total += (-1) ** k * binom * xf ** k / math.factorial(k)
-    return float(total)
+    return total
 
 
 def kummer_m_poly(n, b, z):

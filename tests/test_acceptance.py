@@ -52,7 +52,7 @@ def test_criterion_01_morse_finite_spectrum():
     _check(failures, len(states) == 2, f"expected 2 states, got {len(states)}")
     _check(failures, states[0].energy == pytest.approx(-1.125, rel=1e-12),
            f"E_0 = {states[0].energy}")
-    _check(failures, states[1].energy == pytest.approx(-0.125, rel=1e-12),
+    _check(failures, states[1].energy == pytest.approx(-0.125, rel=1e-12, abs=0),
            f"E_1 = {states[1].energy}")
 
     for n, expect in ((0, -1.125), (1, -0.125)):
@@ -80,7 +80,7 @@ def test_criterion_02_hydrogen_ladder():
     levels = pure_coulomb_levels(3, -1.0, 1.0, 1.0, 5)
     for big_n, energy, _ in levels:
         want = -1.0 / (2.0 * big_n ** 2)
-        _check(failures, energy == pytest.approx(want, rel=1e-12),
+        _check(failures, energy == pytest.approx(want, rel=1e-12, abs=0),
                f"analytic N={big_n}: {energy} vs {want}")
 
     for big_n in (1, 2, 3):
@@ -114,10 +114,10 @@ def test_criterion_03_oscillator_ladder():
 def test_criterion_04_singular_family():
     failures = []
     af = angular_factor(3, 0, 0.75)
-    _check(failures, af.S == pytest.approx(1.0, rel=1e-15), f"S = {af.S}")
+    _check(failures, af.S == pytest.approx(1.0, rel=1e-15, abs=0), f"S = {af.S}")
 
     coul = coulomb_spectrum(3, 0, 0.75, -1.0, 1.0, 1.0, 0)[0]
-    _check(failures, coul.energy == pytest.approx(-2.0 / 9.0, rel=1e-12),
+    _check(failures, coul.energy == pytest.approx(-2.0 / 9.0, rel=1e-12, abs=0),
            f"singular Coulomb ground {coul.energy}")
     sho = sho_spectrum(3, 0, 0.75, 1.0, 1.0, 1.0, 0)[0]
     _check(failures, sho.energy == pytest.approx(2.0, rel=1e-12),
@@ -266,6 +266,6 @@ def test_criterion_10_mapping_equivalence():
                     mapped = quantized_energy_via_morse(
                         RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=-1.0,
                                       mass=1.0, hbar=1.0), n)
-                    _check(failures, mapped == pytest.approx(direct, rel=1e-12),
+                    _check(failures, mapped == pytest.approx(direct, rel=1e-12, abs=0),
                            f"Coulomb D={dim}, l={l}, beta={beta}, n={n}")
     _report(10, "mapping equivalence", failures)

@@ -35,7 +35,7 @@ class TestSpectrumCommand:
         assert code == 0
         payload = json.loads(out)
         energies = [st["energy"] for st in payload["states"]]
-        assert energies == pytest.approx([-1.125, -0.125], rel=1e-12)
+        assert energies == pytest.approx([-1.125, -0.125], rel=1e-12, abs=0)
         assert all(st["provenance"] == "analytic" for st in payload["states"])
 
     def test_morse_json_round_trip(self, capsys):
@@ -46,7 +46,7 @@ class TestSpectrumCommand:
         for st in payload["states"]:
             # energy must be recomputable from the reported exponent
             rebuilt = -(p["hbar"] * p["alpha"] * st["S"]) ** 2 / (2.0 * p["mass"])
-            assert rebuilt == pytest.approx(st["energy"], rel=1e-15)
+            assert rebuilt == pytest.approx(st["energy"], rel=1e-15, abs=0)
 
     def test_sho_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "spectrum", "--system", "sho", "--dim", "3",
@@ -56,7 +56,7 @@ class TestSpectrumCommand:
         p = payload["params"]
         for st in payload["states"]:
             rebuilt = p["hbar"] * p["omega"] * (2 * st["n"] + 1 + st["S"])
-            assert rebuilt == pytest.approx(st["energy"], rel=1e-15)
+            assert rebuilt == pytest.approx(st["energy"], rel=1e-15, abs=0)
 
     def test_coulomb_csv(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--system", "coulomb",
@@ -66,8 +66,8 @@ class TestSpectrumCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["family", "dim", "n", "l", "beta", "S", "energy",
                            "hbar", "mass", "provenance"]
-        assert float(rows[1][6]) == pytest.approx(-0.5, rel=1e-12)
-        assert float(rows[2][6]) == pytest.approx(-0.125, rel=1e-12)
+        assert float(rows[1][6]) == pytest.approx(-0.5, rel=1e-12, abs=0)
+        assert float(rows[2][6]) == pytest.approx(-0.125, rel=1e-12, abs=0)
 
     def test_missing_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -93,7 +93,7 @@ class TestWavefunctionCommand:
         assert float(rows[1][1]) == 0.0  # u(0) = 0
         # interior sample against the hydrogen 1s closed form
         r, u = float(rows[2][0]), float(rows[2][1])
-        assert u == pytest.approx(2.0 * r * math.exp(-r), rel=1e-12)
+        assert u == pytest.approx(2.0 * r * math.exp(-r), rel=1e-12, abs=0)
 
     def test_morse_wavefunction(self, capsys):
         code, out, _ = run_cli(capsys, "wavefunction", "--system", "morse",
@@ -117,12 +117,29 @@ class TestWavefunctionCommand:
         # r**(1/2+S) = 40**501 overflows a float on its own
         ["--system", "sho", "--dim", "3", "--l", "500", "--omega", "1", "--n", "0",
          "--min", "0", "--max", "40", "--samples", "9"],
-    ], ids=["deep-morse-well", "sho-l500"])
+        # L_10000 overflows at t = 2500 while u stays of order 0.1
+        ["--system", "sho", "--dim", "3", "--omega", "1", "--n", "10000",
+         "--min", "0", "--max", "100"],
+    ], ids=["deep-morse-well", "sho-l500", "sho-n10000"])
     def test_deep_well_and_high_l_are_finite(self, capsys, argv):
         code, out, _ = run_cli(capsys, "wavefunction", *argv)
         assert code == 0
         values = [float(row[1]) for row in list(csv.reader(io.StringIO(out)))[1:]]
         assert all(math.isfinite(v) for v in values) and any(values)
+
+    @pytest.mark.parametrize("argv", [
+        # t = r^2 leaves the float range, or L does while exp(-t/2) underflows
+        ["--system", "sho", "--dim", "3", "--omega", "1", "--n", "3",
+         "--min", "0", "--max", "1e300"],
+        ["--system", "sho", "--dim", "3", "--omega", "1", "--n", "3",
+         "--min", "0", "--max", "1e200", "--samples", "3"],
+        ["--system", "coulomb", "--dim", "3", "--z", "-1", "--n", "2",
+         "--min", "0", "--max", "1e300", "--samples", "5"],
+    ], ids=["sho-r1e300", "sho-r1e200", "coulomb-r1e300"])
+    def test_far_tail_underflows_to_zero(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "wavefunction", *argv)
+        assert code == 0
+        assert {float(row[1]) for row in list(csv.reader(io.StringIO(out)))[1:]} == {0.0}
 
     @pytest.mark.parametrize("system,lo,hi,samples", [
         ("morse", -2.0, 10.0, 2),
@@ -221,22 +238,15 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["all_pass"] is False
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MORSEBOUND_TOL", "1e-3")
-        _, out, _ = run_cli(capsys, "verify", "--system", "morse",
-                            "--v1", "-8", "--v2", "8", "--n", "0")
-        assert json.loads(out)["tolerance"] == 1e-3
-
+    # env is {} in every case: no environment variable sets a CLI value.  The
+    # column stays so that the case ids keep their argvN-envN form.
     @pytest.mark.parametrize("argv,env", [
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--alpha", "nan"], {}),
         (["spectrum", "--system", "morse", "--v1=-inf", "--v2", "8"], {}),
         (["spectrum", "--system", "sho", "--dim", "3", "--omega", "nan"], {}),
-        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"],
-         {"MORSEBOUND_POINTS": "abc"}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1001"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "nan"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "-1"], {}),
-        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"], {"MORSEBOUND_TOL": "nan"}),
         (["spectrum", "--system", "sho", "--dim", "3", "--omega", "1", "--hbar", "nan"], {}),
         (["spectrum", "--system", "coulomb", "--dim", "3", "--z", "-1", "--mass", "inf"], {}),
         (["map", "--system", "sho", "--dim", "3", "--omega", "nan", "--energy", "2"], {}),
@@ -251,7 +261,6 @@ class TestVerifyCommand:
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1250003"], {}),
         # zero points is a mesh too small to solve on, not a request for the default one
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "0"], {}),
-        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8"], {"MORSEBOUND_POINTS": "0"}),
         # both ends finite, but the width overflows: no NaN sample points
         (["wavefunction", "--system", "morse", "--v1", "-8", "--v2", "8",
           "--min=-1e308", "--max=1e308", "--samples", "3"], {}),
@@ -274,22 +283,14 @@ class TestVerifyCommand:
         (["spectrum", "--system", "coulomb", "--dim", "3", "--z=-1e-200", "--hbar", "1e200"], {}),
         (["spectrum", "--system", "sho", "--dim", "3", "--omega", "1e308"], {}),
         (["map", "--system", "sho", "--dim", "3", "--omega", "1e200", "--energy", "1"], {}),
-        # wavefunction samples that are not finite: L_10000 overflows at t = 2500,
-        # and r = 1e300 puts t = r^2 past the float range
-        (["wavefunction", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "10000",
-          "--min", "0", "--max", "100"], {}),
-        (["wavefunction", "--system", "sho", "--dim", "3", "--omega", "1", "--n", "3",
-          "--min", "0", "--max", "1e300"], {}),
     ])
-    def test_bad_input_is_a_clean_error(self, capsys, monkeypatch, argv, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_bad_input_is_a_clean_error(self, capsys, argv, env):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert "nan" not in out.lower()
-        if argv[-2:] == ["--points", "0"] or env.get("MORSEBOUND_POINTS") == "0":
+        if argv[-2:] == ["--points", "0"]:
             assert "got 0" in err
 
     def test_shallow_morse_state(self, capsys):
@@ -300,12 +301,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["checks"][0]["node_count"] == 1
 
-    def test_env_points_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MORSEBOUND_POINTS", "6001")
+    def test_stale_environment_is_ignored(self, capsys, monkeypatch):
+        # The CLI reads no environment variable, so these settings change nothing.
+        monkeypatch.setenv("MORSEBOUND_TOL", "nan")
+        monkeypatch.setenv("MORSEBOUND_POINTS", "abc")
         code, out, _ = run_cli(capsys, "verify", "--system", "morse",
                                "--v1", "-8", "--v2", "8", "--n", "0")
         assert code == 0
-        assert json.loads(out)["all_pass"] is True
+        assert json.loads(out)["tolerance"] == 1e-6
 
 
 class TestDegeneracyCommand:

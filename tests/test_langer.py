@@ -108,7 +108,7 @@ class TestBranchInvariance:
                         continue  # critical coupling (the pure D=2 s-wave)
                     af = angular_factor(dim, l, beta)
                     s_minus_sq = beta + (af.L_minus + 0.5) ** 2
-                    assert af.S ** 2 == pytest.approx(s_minus_sq, rel=1e-15)
+                    assert af.S ** 2 == pytest.approx(s_minus_sq, rel=1e-15, abs=0)
 
 
 class TestToMorse:
@@ -116,15 +116,15 @@ class TestToMorse:
         # omega = 1, m = 1 -> z = 1/2; trial energy 1.5
         image = to_morse(radial(delta=2, z=0.5), 1.5)
         assert image.lam == 0.5
-        assert image.v1 == pytest.approx(-0.375, rel=1e-15)
-        assert image.v2 == pytest.approx(0.125, rel=1e-15)
+        assert image.v1 == pytest.approx(-0.375, rel=1e-15, abs=0)
+        assert image.v2 == pytest.approx(0.125, rel=1e-15, abs=0)
         assert image.alpha_eff == 1.0 and image.r0 == 1.0
 
     def test_coulomb_image(self):
         image = to_morse(radial(delta=-1, z=-1.0), -0.5)
         assert image.lam == 1.0
-        assert image.v1 == pytest.approx(-1.0, rel=1e-15)
-        assert image.v2 == pytest.approx(0.5, rel=1e-15)
+        assert image.v1 == pytest.approx(-1.0, rel=1e-15, abs=0)
+        assert image.v2 == pytest.approx(0.5, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("delta", [0, -2])
     def test_pure_inverse_square_rejected(self, delta):
@@ -159,7 +159,8 @@ class TestOriginExponent:
         (3, 0, 0.75, 1.5),
     ])
     def test_values(self, dim, l, beta, expect):
-        assert origin_exponent(radial(dim=dim, l=l, beta=beta)) == pytest.approx(expect, rel=1e-15)
+        assert origin_exponent(radial(dim=dim, l=l, beta=beta)) == pytest.approx(
+            expect, rel=1e-15, abs=0)
 
     def test_always_above_half(self):
         for dim in range(2, 8):
@@ -177,11 +178,12 @@ class TestOriginExponent:
 class TestQuantizedEnergyViaMorse:
     def test_oscillator_route(self):
         problem = radial(dim=3, l=0, beta=0.75, delta=2, z=0.5)
-        assert quantized_energy_via_morse(problem, 1) == pytest.approx(4.0, rel=1e-13)
+        assert quantized_energy_via_morse(problem, 1) == pytest.approx(4.0, rel=1e-13, abs=0)
 
     def test_coulomb_route(self):
         problem = radial(dim=3, l=0, beta=0.75, delta=-1, z=-1.0)
-        assert quantized_energy_via_morse(problem, 0) == pytest.approx(-2.0 / 9.0, rel=1e-13)
+        assert quantized_energy_via_morse(problem, 0) == pytest.approx(-2.0 / 9.0, rel=1e-13,
+                                                                       abs=0)
 
     @pytest.mark.parametrize("delta,coupling,mass,n", [
         (2, 1e-100, 1.0, 0),  # omega = 1e-100

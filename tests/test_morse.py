@@ -44,7 +44,7 @@ class TestParams:
 
 class TestStateCount:
     def test_two_states(self):
-        assert well_strength(TWO_STATE) == pytest.approx(2.0, rel=1e-15)
+        assert well_strength(TWO_STATE) == pytest.approx(2.0, rel=1e-15, abs=0)
         assert state_count(TWO_STATE) == 2
 
     def test_shallow_well_holds_none(self):
@@ -59,10 +59,10 @@ class TestSpectrum:
     def test_two_state_values(self):
         states = spectrum(TWO_STATE)
         assert [s.n for s in states] == [0, 1]
-        assert states[0].s == pytest.approx(1.5, rel=1e-15)
-        assert states[1].s == pytest.approx(0.5, rel=1e-15)
-        assert states[0].energy == pytest.approx(-1.125, rel=1e-14)
-        assert states[1].energy == pytest.approx(-0.125, rel=1e-14)
+        assert states[0].s == pytest.approx(1.5, rel=1e-15, abs=0)
+        assert states[1].s == pytest.approx(0.5, rel=1e-15, abs=0)
+        assert states[0].energy == pytest.approx(-1.125, rel=1e-14, abs=0)
+        assert states[1].energy == pytest.approx(-0.125, rel=1e-14, abs=0)
 
     def test_empty_for_no_well(self):
         assert spectrum(MorseParams(-1.0, 8.0, 1.0, 1.0, 1.0)) == []
@@ -72,7 +72,7 @@ class TestSpectrum:
         params = MorseParams(-11.3, 4.7, 0.8, 1.7, 1.2)
         for st in spectrum(params):
             alt = -(params.hbar * params.alpha * st.s) ** 2 / (2.0 * params.mass)
-            assert st.energy == pytest.approx(alt, rel=1e-13)
+            assert st.energy == pytest.approx(alt, rel=1e-13, abs=0)
 
     def test_ordering(self):
         params = MorseParams(-40.0, 3.0, 0.7, 1.0, 1.0)
@@ -144,7 +144,7 @@ class TestEigenfunction:
         assert abs(eigenfunction(TWO_STATE, st, -4.0)) < 1e-30
 
     def test_xi_variable(self):
-        assert xi_of_x(TWO_STATE, 0.0) == pytest.approx(8.0, rel=1e-15)
+        assert xi_of_x(TWO_STATE, 0.0) == pytest.approx(8.0, rel=1e-15, abs=0)
         assert xi_of_x(TWO_STATE, -2000.0) == math.inf
 
     def test_rejects_foreign_state(self):

@@ -349,7 +349,7 @@ class TestRadialOracle:
     def test_default_grid_follows_the_length_scale(self, args, tol_rel, rel):
         want = coulomb_spectrum(*args[:6], args[6] + 1)[args[6]].energy
         result = solve_coulomb(*args, tol_rel=tol_rel)
-        assert result.eigenvalue == pytest.approx(want, rel=rel)
+        assert result.eigenvalue == pytest.approx(want, rel=rel, abs=0)
         assert result.node_count == args[6]
 
     def test_richardson_estimate_below_an_absolute_stop_width(self):
@@ -483,3 +483,41 @@ class TestScan:
             results = scan_spectrum(morse_potential, (-2.0, 0.0), 2,
                                     grid=grid, mass=1.0, hbar=1.0)
         assert len(results) == 2
+
+
+class TestBracketCounts:
+    """Each public call counts its bracket ends once, on the requested mesh; the
+    doubled-spacing level and the states of a scan do not count again."""
+
+    @pytest.fixture
+    def meshes(self, monkeypatch):
+        sizes = []  # mesh size of every forward count
+        forward_nodes = oracle._Shooting.forward_nodes
+
+        def counted(prob, energy):
+            sizes.append(prob.f0.size)
+            return forward_nodes(prob, energy)
+
+        monkeypatch.setattr(oracle._Shooting, "forward_nodes", counted)
+        return sizes
+
+    @pytest.mark.parametrize("solve,points", [
+        (lambda: solve_morse(TWO_STATE, 1), 8001),
+        (lambda: solve_coulomb(3, 0, 0.0, -1.0, 1.0, 1.0, 1), 8001),
+        (lambda: solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0, 1.0, 1.0,
+                          (-2.0, -0.5)), 6001),
+    ], ids=["morse", "coulomb", "1d"])
+    def test_solve_counts_two_ends(self, meshes, solve, points):
+        solve()
+        assert meshes == [points, points]
+
+    @pytest.mark.parametrize("window,states", [((-2.0, -0.5), 1), ((-4.0, -0.01), 3)])
+    def test_scan_counts_two_edges(self, meshes, window, states):
+        def potential(x):
+            t = np.exp(-x)
+            return -12.0 * t + 8.0 * t * t
+
+        results = scan_spectrum(potential, window, 5, grid=Grid1D(-2.5, 30.0, 6001),
+                                mass=1.0, hbar=1.0)
+        assert len(results) == states
+        assert meshes == [6001, 6001]

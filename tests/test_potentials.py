@@ -20,18 +20,18 @@ from morsebound.potentials import (
 class TestShoSpectrum:
     def test_pure_ground_state(self):
         st = sho_spectrum(3, 0, 0.0, 1.0, 1.0, 1.0, 0)[0]
-        assert st.energy == pytest.approx(1.5, rel=1e-15)
+        assert st.energy == pytest.approx(1.5, rel=1e-15, abs=0)
         assert st.S == 0.5
 
     def test_pure_p_wave(self):
         st = sho_spectrum(3, 1, 0.0, 1.0, 1.0, 1.0, 0)[0]
-        assert st.S == pytest.approx(1.5, rel=1e-15)
-        assert st.energy == pytest.approx(2.5, rel=1e-15)
+        assert st.S == pytest.approx(1.5, rel=1e-15, abs=0)
+        assert st.energy == pytest.approx(2.5, rel=1e-15, abs=0)
 
     def test_singular_first_excited(self):
         st = sho_spectrum(3, 0, 0.75, 1.0, 1.0, 1.0, 1)[1]
-        assert st.S == pytest.approx(1.0, rel=1e-15)
-        assert st.energy == pytest.approx(4.0, rel=1e-15)
+        assert st.S == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert st.energy == pytest.approx(4.0, rel=1e-15, abs=0)
 
     def test_tower_is_increasing_and_positive(self):
         states = sho_spectrum(5, 2, 1.3, 0.7, 2.0, 1.5, 6)
@@ -56,16 +56,16 @@ class TestShoSpectrum:
 class TestCoulombSpectrum:
     def test_hydrogen_ground(self):
         st = coulomb_spectrum(3, 0, 0.0, -1.0, 1.0, 1.0, 0)[0]
-        assert st.energy == pytest.approx(-0.5, rel=1e-15)
+        assert st.energy == pytest.approx(-0.5, rel=1e-15, abs=0)
 
     def test_hydrogen_second_level(self):
         st = coulomb_spectrum(3, 0, 0.0, -1.0, 1.0, 1.0, 1)[1]
-        assert st.energy == pytest.approx(-0.125, rel=1e-15)
+        assert st.energy == pytest.approx(-0.125, rel=1e-15, abs=0)
 
     def test_singular_ground(self):
         st = coulomb_spectrum(3, 0, 0.75, -1.0, 1.0, 1.0, 0)[0]
-        assert st.S == pytest.approx(1.0, rel=1e-15)
-        assert st.energy == pytest.approx(-2.0 / 9.0, rel=1e-15)
+        assert st.S == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert st.energy == pytest.approx(-2.0 / 9.0, rel=1e-15, abs=0)
 
     def test_increasing_toward_zero(self):
         energies = [s.energy for s in coulomb_spectrum(4, 1, 0.5, -2.0, 1.0, 1.0, 5)]
@@ -129,7 +129,7 @@ class TestEigenfunctions:
         st = coulomb_spectrum(3, 0, 0.0, -1.0, 1.0, 1.0, 0)[0]
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
             assert coulomb_eigenfunction(st, -1.0, 1.0, 1.0, r) == pytest.approx(
-                2.0 * r * math.exp(-r), rel=1e-12)
+                2.0 * r * math.exp(-r), rel=1e-12, abs=0)
 
     def test_node_counts(self):
         rs = np.linspace(1e-4, 16.0, 6001)
@@ -213,7 +213,8 @@ class TestPureLevels:
         levels = pure_coulomb_levels(3, -1.0, 1.0, 1.0, 2)
         assert levels[0] == (1, pytest.approx(-0.5), 1)
         assert levels[1] == (2, pytest.approx(-0.125), 4)
-        assert pure_coulomb_levels(5, -1.0, 1.0, 1.0, 1)[0][1] == pytest.approx(-0.125, rel=1e-12)
+        assert pure_coulomb_levels(5, -1.0, 1.0, 1.0, 1)[0][1] == pytest.approx(-0.125, rel=1e-12,
+                                                                                 abs=0)
 
     def test_coulomb_relabeling_consistency(self):
         for dim in (3, 4, 5):
@@ -221,7 +222,7 @@ class TestPureLevels:
             for n in range(0, 3):
                 for l in range(0, 3):
                     st = coulomb_spectrum(dim, l, 0.0, -1.0, 1.0, 1.0, n)[n]
-                    assert st.energy == pytest.approx(levels[n + l + 1], rel=1e-12)
+                    assert st.energy == pytest.approx(levels[n + l + 1], rel=1e-12, abs=0)
 
     def test_planar_coulomb_is_exposed(self):
         # formula-extrapolated labeling: [N + (D-3)/2] = N - 1/2 at D = 2
@@ -297,7 +298,7 @@ class TestMappingEquivalence:
                         problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1,
                                                 z=-1.0, mass=1.0, hbar=1.0)
                         assert quantized_energy_via_morse(problem, n) == pytest.approx(
-                            coul_state.energy, rel=1e-12)
+                            coul_state.energy, rel=1e-12, abs=0)
                         checked += 2
         assert checked > 500
 

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from conftest import kummer_m_poly, laguerre_series
+from conftest import kummer_m_poly, laguerre_fraction, laguerre_series
 from morsebound.errors import ConvergenceError, DomainError
-from morsebound.specfun import integrate_halfline, laguerre, log_gamma
+from morsebound.specfun import _scaled_laguerre, integrate_halfline, laguerre, log_gamma
 
 
 class TestLaguerre:
@@ -14,7 +14,7 @@ class TestLaguerre:
 
     @pytest.mark.parametrize("alpha,x", [(0.5, 0.0), (2.0, 1.0), (7.25, 19.0)])
     def test_degree_one(self, alpha, x):
-        assert laguerre(1, alpha, x) == pytest.approx(1.0 + alpha - x, rel=1e-15)
+        assert laguerre(1, alpha, x) == pytest.approx(1.0 + alpha - x, rel=1e-15, abs=0)
 
     def test_degree_five_frozen(self):
         # exact series value: L_5^(3)(2) = -64/15
@@ -28,6 +28,16 @@ class TestLaguerre:
             got = laguerre(n, alpha, x)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10 * (1.0 + abs(want)))
 
+    def test_scaled_form_past_the_float_range(self):
+        # L_300^(0.5)(3000) is about e^953: the plain recurrence leaves the
+        # float range, and the scaled one keeps the sign and ln|L|.
+        assert not math.isfinite(laguerre(300, 0.5, 3000.0))
+        want = laguerre_fraction(300, 0.5, 3000.0)
+        mantissa, scale = _scaled_laguerre(300, 0.5, 3000.0)
+        assert (mantissa < 0.0) == (want < 0)
+        log_want = math.log(abs(want.numerator)) - math.log(want.denominator)
+        assert scale + math.log(abs(mantissa)) == pytest.approx(log_want, rel=1e-15, abs=0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             laguerre(-1, 1.0, 1.0)
@@ -40,8 +50,8 @@ class TestLaguerre:
 class TestLogGamma:
     def test_exact_points(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
+        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14, abs=0)
+        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14, abs=0)
 
     def test_accuracy_band(self):
         # |ln Gamma| has zeros at x = 1 and x = 2 where a strictly relative
@@ -63,7 +73,7 @@ class TestLogGamma:
             log_gamma(-3.0)
 
     def test_small_argument_recurrence(self):
-        assert log_gamma(0.1) == pytest.approx(math.lgamma(0.1), rel=1e-13)
+        assert log_gamma(0.1) == pytest.approx(math.lgamma(0.1), rel=1e-13, abs=0)
 
 
 class TestKummer:
@@ -71,11 +81,11 @@ class TestKummer:
         assert kummer_m_poly(0, 4.7, 3.3) == 1.0
 
     def test_two_term(self):
-        assert kummer_m_poly(1, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert kummer_m_poly(1, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_frozen_value(self):
         # series evaluation by hand: M(-3, 4, 2.5) = -13/192
-        assert kummer_m_poly(3, 4.0, 2.5) == pytest.approx(-13.0 / 192.0, rel=1e-12)
+        assert kummer_m_poly(3, 4.0, 2.5) == pytest.approx(-13.0 / 192.0, rel=1e-12, abs=0)
 
     def test_proportionality_to_laguerre(self):
         # L_n^(2s)(x) = Gamma(n + 2s + 1) / (n! Gamma(2s + 1)) * M(-n, 2s + 1, x)
@@ -91,7 +101,7 @@ class TestKummer:
     def test_explicit_proportionality_example(self):
         lhs = kummer_m_poly(3, 4.0, 2.5)
         rhs = laguerre(3, 3.0, 2.5) * math.factorial(3) * math.gamma(4.0) / math.gamma(7.0)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
