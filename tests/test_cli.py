@@ -244,9 +244,11 @@ class TestVerifyCommand:
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--alpha", "nan"], {}),
         (["spectrum", "--system", "morse", "--v1=-inf", "--v2", "8"], {}),
         (["spectrum", "--system", "sho", "--dim", "3", "--omega", "nan"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "-1"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1001"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "nan"], {}),
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "-1"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "inf"], {}),
         (["spectrum", "--system", "sho", "--dim", "3", "--omega", "1", "--hbar", "nan"], {}),
         (["spectrum", "--system", "coulomb", "--dim", "3", "--z", "-1", "--mass", "inf"], {}),
         (["map", "--system", "sho", "--dim", "3", "--omega", "nan", "--energy", "2"], {}),
@@ -261,6 +263,7 @@ class TestVerifyCommand:
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "1250003"], {}),
         # zero points is a mesh too small to solve on, not a request for the default one
         (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--points", "0"], {}),
+        (["verify", "--system", "morse", "--v1", "-8", "--v2", "8", "--tol", "0"], {}),
         # both ends finite, but the width overflows: no NaN sample points
         (["wavefunction", "--system", "morse", "--v1", "-8", "--v2", "8",
           "--min=-1e308", "--max=1e308", "--samples", "3"], {}),
