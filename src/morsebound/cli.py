@@ -32,11 +32,10 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 from . import potentials
+from ._record import Record
 from .errors import BracketError, ConvergenceError, DomainError
 from .langer import RadialProblem, angular_factor, origin_exponent, to_morse
 from .morse import MorseParams, eigenfunction as morse_eigenfunction, spectrum as morse_spectrum
@@ -107,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class _System:
+class _System(Record):
     """What the subcommands need of one physical system, read from the parsed ``args``.
 
     The callables look the library up by its module-level names when they run,
@@ -116,11 +114,11 @@ class _System:
     """
 
     flags: tuple[str, ...]  # flags the system cannot do without
-    spectrum: Callable  # (args, n_max) -> closed-form states 0..n_max (Morse: all)
-    label: Callable  # (args, state) -> (family, dim, l, beta, S) of its record
-    wave: Callable  # (args, state) -> the eigenfunction x -> u(x)
-    solve: Callable  # (oracle, args, n, points=None) -> oracle.OracleResult of state n
-    radial: Callable | None = None  # args -> (delta, z) for map; None for the Morse well
+    spectrum: object  # (args, n_max) -> closed-form states 0..n_max (Morse: all)
+    label: object  # (args, state) -> (family, dim, l, beta, S) of its record
+    wave: object  # (args, state) -> the eigenfunction x -> u(x)
+    solve: object  # (oracle, args, n, points=None) -> oracle.OracleResult of state n
+    radial: object = None  # args -> (delta, z) for map; None for the Morse well
 
 
 def _morse_params(args) -> MorseParams:

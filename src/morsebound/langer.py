@@ -16,8 +16,8 @@ l = 0 is the critical-coupling condition beta > -(D-2)^2/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import CriticalCouplingError, DomainError, UnsupportedDeltaError
 from .morse import MorseParams, well_strength
 
@@ -35,8 +35,7 @@ __all__ = [
 _ALLOWED_DELTAS = (2, -1, 0, -2)
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class RadialProblem(Record):
     """A D-dimensional radial problem of the family z*r^delta + beta/r^2 term.
 
     ``z`` is the coupling of the power-law part: for the oscillator (delta=2)
@@ -67,8 +66,7 @@ class RadialProblem:
             raise DomainError(f"coupling z must be finite, got {self.z}")
 
 
-@dataclass(frozen=True)
-class AngularFactor:
+class AngularFactor(Record):
     """Both admissible L branches and the branch-independent S."""
 
     L_plus: float
@@ -76,8 +74,7 @@ class AngularFactor:
     S: float
 
 
-@dataclass(frozen=True)
-class MorseImage:
+class MorseImage(Record):
     """Morse parameters produced by the Langer map, in the r0 = alpha = 1 gauge."""
 
     lam: float

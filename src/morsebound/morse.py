@@ -9,8 +9,8 @@ strength m|v1| / (hbar*alpha*sqrt(2*m*v2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError
 from .specfun import _log_space_product, laguerre, log_gamma
 
@@ -25,8 +25,7 @@ __all__ = [
     "xi_of_x",
 ]
 
-@dataclass(frozen=True)
-class MorseParams:
+class MorseParams(Record):
     """Potential couplings and particle constants of the 1-D problem.
 
     Parameters without a well (v1 >= 0 or v2 <= 0) are representable; they
@@ -55,8 +54,7 @@ class MorseParams:
         return self.v1 < 0.0 and self.v2 > 0.0
 
 
-@dataclass(frozen=True)
-class MorseState:
+class MorseState(Record):
     """One bound state: index, decay exponent s > 0, energy < 0, norm."""
 
     n: int

@@ -5,16 +5,16 @@ package.  It integrates y'' = f y with f = f0 - w E using the
 three-point Numerov scheme (fourth order in the spacing) in Johnson's
 renormalized form: one kernel carries the ratio R[i] = F[i+1]/F[i] of
 F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
-a node is a negative ratio.  Forward node counts at the bracket ends, made once
-per call on the requested mesh, check a solve's bracket and a scan's window.  Each
-refinement step is one probe: a left sweep up to the last classical turning
-point on the mesh and a right sweep down to it give the log-derivative mismatch
-there and the matched node count S(E), the sum of the two one-sided counts.
-S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
-window holding the n-th eigenvalue and one zero of the mismatch.  The
-refinement probes its guess and a pad past it, bisects until both ends lie in
-that window, then takes Illinois false-position steps until the bracket is
-narrower than tol_rel times its larger end; the bracketing probes give S.
+a node is a negative ratio.  Each refinement step is one probe: a left sweep
+up to the last classical turning point on the mesh and a right sweep down to it
+give the log-derivative mismatch there and the matched node count S(E), the sum
+of the two one-sided counts.  S changes only at the mismatch's poles, so
+{E : S(E) = n} is the pole-free window holding the n-th eigenvalue and one zero
+of the mismatch.  The refinement probes its guess and a pad past it, bisects
+until both ends lie in that window, which certifies them, then takes Illinois
+false-position steps until the bracket is narrower than tol_rel times its larger
+end.  Forward node counts at the ends, on the requested mesh, check a scan's
+window, an unguessed bracket and a guessed one whose ends were not certified.
 
 On a 1-D mesh y is the wavefunction, f0 = k V and w = k, k = 2m/hbar^2.
 Radial and Morse problems are one equation, y'' = sum_p (a_p - b_p E) rho^p y,
@@ -35,10 +35,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from .langer import RadialProblem, angular_factor
 from .morse import MorseParams, spectrum as morse_spectrum
@@ -69,8 +69,7 @@ _DEFAULT_POINTS = 8001  # points of every default mesh
 _MAX_SCAN_REACH = 25_000.0  # no default scan box past this r: one box serves the whole window
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Record):
     """Mesh of at least 1000 points, uniform in x on [x_min, x_max]; a radial
     solve reads Grid1D(0, r_max, N) as N points uniform in ln r on [1e-7 r_max, r_max]."""
 
@@ -96,8 +95,7 @@ class Grid1D:
         return Grid1D(self.x_min, self.x_max, (self.points - 1) // 2 + 1)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """A numerically determined eigenvalue with its mesh and error estimate."""
 
     eigenvalue: float
@@ -245,8 +243,9 @@ def _sweep(ratio: float, coeffs):
 
 
 def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
-    """Eigenvalue with ``target`` nodes inside ``bracket``, whose ends the caller
-    has counted, and its node count.
+    """Eigenvalue with ``target`` nodes inside ``bracket``, and ``target``, or None
+    unless both final ends were probed at S = target.  Such ends hold exactly that
+    mesh eigenvalue, as S(E) + [mismatch(E) <= 0] of them lie below any E.
 
     Every step probes one energy: ``guess`` and then a pad past it toward the
     eigenvalue, each skipped outside the bracket; then bisection until both
@@ -288,10 +287,7 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
             lo, s_lo, f_lo = energy, s, f
         else:
             hi, s_hi, f_hi = energy, s, f
-    energy = 0.5 * (lo + hi)
-    if s_lo == s_hi == target:
-        return energy, target
-    return energy, prob.probe(energy)[0]
+    return 0.5 * (lo + hi), target if s_lo == s_hi == target else None
 
 
 def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
@@ -307,8 +303,8 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
                 guess=None) -> OracleResult:
-    """State ``target`` from ``guess``, once the forward node counts at the
-    bracket ends on the requested mesh show that the bracket holds it."""
+    """State ``target`` from ``guess``.  Forward node counts check the bracket ends
+    before the refinement without a guess, else only if _locate did not certify them."""
     _check_solve_inputs(grid, tol_rel)
     if target < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target}")
@@ -316,14 +312,23 @@ def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if (n := fine.forward_nodes(lo)) > target:
-        raise BracketError(f"node count {n} at the lower bracket end exceeds the target {target}")
-    if (n := fine.forward_nodes(hi)) <= target:
-        raise BracketError(f"node count {n} at the upper bracket end does not reach "
-                           f"{target + 1}; the bracket holds no such eigenvalue")
+    if guess is None:
+        _count_ends(fine, target, lo, hi)
     e_fine, nodes = _locate(fine, target, (lo, hi), tol_rel, guess)
+    if nodes is None and guess is not None:
+        _count_ends(fine, target, lo, hi)
+    nodes = fine.probe(e_fine)[0] if nodes is None else nodes
     del fine  # the doubled-spacing mesh is built once this one is freed
     return _with_estimate(e_fine, nodes, build, grid, target, (lo, hi), tol_rel)
+
+
+def _count_ends(prob: _Shooting, target: int, lo: float, hi: float) -> None:
+    """BracketError unless forward node counts put mesh eigenvalue ``target`` in (lo, hi]."""
+    if (n := prob.forward_nodes(lo)) > target:
+        raise BracketError(f"node count {n} at the lower bracket end exceeds the target {target}")
+    if (n := prob.forward_nodes(hi)) <= target:
+        raise BracketError(f"node count {n} at the upper bracket end does not reach "
+                           f"{target + 1}; the bracket holds no such eigenvalue")
 
 
 def _with_estimate(e_fine: float, nodes: int, build, grid: Grid1D, target: int, bracket,
@@ -466,8 +471,10 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
         warnings.warn(f"energy window holds {inside} states but max_states={max_states}; "
                       "returning the lowest ones (window too small to honour them all)",
                       RuntimeWarning, stacklevel=2)
-    return [_with_estimate(*_locate(fine, k, (lo, hi), tol_rel), build, grid, k, (lo, hi), tol_rel)
-            for k in range(n_lo, min(n_hi, n_lo + max_states))]
+    return [_with_estimate(e, fine.probe(e)[0] if n is None else n, build, grid, k, (lo, hi),
+                           tol_rel)
+            for k in range(n_lo, min(n_hi, n_lo + max_states))
+            for e, n in [_locate(fine, k, (lo, hi), tol_rel)]]
 
 
 def _default_radial_grid(problem: RadialProblem, energy: float, points: int | None = None,

@@ -9,8 +9,8 @@ n_max (the generalized Morse well, by contrast, holds finitely many states).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, FamilyMismatchError
 from .langer import angular_factor
 from .specfun import _log_space_product, laguerre, log_gamma
@@ -31,8 +31,7 @@ OSCILLATOR = "oscillator"
 COULOMB = "coulomb"
 
 
-@dataclass(frozen=True)
-class RadialState:
+class RadialState(Record):
     """One radial bound state labeled (n, l) in D dimensions."""
 
     n: int
@@ -43,8 +42,7 @@ class RadialState:
     family: str
 
 
-@dataclass(frozen=True)
-class DegeneracyRecord:
+class DegeneracyRecord(Record):
     """Count of hyperspherical harmonics sharing l in D dimensions."""
 
     l: int

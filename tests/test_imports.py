@@ -1,5 +1,5 @@
-"""The analytic path imports neither numpy nor the oracle; the package's lazy
-attributes still resolve."""
+"""The analytic path imports neither numpy, the oracle nor dataclasses (with the
+inspect it pulls in); the package's lazy attributes still resolve."""
 
 import json
 import os
@@ -16,8 +16,8 @@ import contextlib, io, json, sys
 import morsebound.cli as cli
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "numpy" or m == "morsebound.oracle")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
+                  or m in ("morsebound.oracle", "dataclasses", "inspect"))
 
 report = {}
 for argv in (["spectrum", "--system", "morse", "--v1", "-8", "--v2", "8"],

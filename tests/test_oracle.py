@@ -10,7 +10,7 @@ from conftest import numerov_product
 from morsebound import oracle
 from morsebound.errors import BracketError, ConvergenceError, CriticalCouplingError, DomainError
 from morsebound.langer import RadialProblem
-from morsebound.morse import MorseParams, spectrum as morse_spectrum
+from morsebound.morse import MorseParams, MorseState, spectrum as morse_spectrum
 from morsebound.potentials import coulomb_spectrum, sho_spectrum
 from morsebound.oracle import (
     Grid1D,
@@ -486,7 +486,8 @@ class TestScan:
 
 
 class TestBracketCounts:
-    """Each public call counts its bracket ends once, on the requested mesh; the
+    """A call without a guess counts its bracket ends once, on the requested mesh;
+    a guessed solve whose probes certify the window counts nothing.  The
     doubled-spacing level and the states of a scan do not count again."""
 
     @pytest.fixture
@@ -501,15 +502,33 @@ class TestBracketCounts:
         monkeypatch.setattr(oracle._Shooting, "forward_nodes", counted)
         return sizes
 
-    @pytest.mark.parametrize("solve,points", [
-        (lambda: solve_morse(TWO_STATE, 1), 8001),
-        (lambda: solve_coulomb(3, 0, 0.0, -1.0, 1.0, 1.0, 1), 8001),
+    @pytest.mark.parametrize("solve,counted", [
+        (lambda: solve_morse(TWO_STATE, 1), []),
+        (lambda: solve_coulomb(3, 0, 0.0, -1.0, 1.0, 1.0, 1), []),
         (lambda: solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0, 1.0, 1.0,
-                          (-2.0, -0.5)), 6001),
+                          (-2.0, -0.5)), [6001, 6001]),
     ], ids=["morse", "coulomb", "1d"])
-    def test_solve_counts_two_ends(self, meshes, solve, points):
+    def test_solve_counts_two_ends(self, meshes, solve, counted):
         solve()
-        assert meshes == [points, points]
+        assert meshes == counted
+
+    @pytest.mark.parametrize("n,shift,message,counted", [
+        (0, 1, "node count 1 at the lower bracket end exceeds the target 0", [8001]),
+        (1, -1, "node count 1 at the upper bracket end does not reach 2", [8001, 8001]),
+    ], ids=["past-the-upper-neighbour", "past-the-lower-neighbour"])
+    def test_wrong_closed_form_is_a_bracket_error(self, meshes, monkeypatch, n, shift,
+                                                   message, counted):
+        # Every closed-form energy is moved onto its neighbour's, so the guessed
+        # bracket misses state n; its probes never certify the window, and the
+        # forward counts at the bracket ends, on the requested mesh, reject it.
+        well = MorseParams(v1=-12.0, v2=4.0, alpha=1.0, mass=1.0, hbar=1.0)  # 4 states
+        energies = [state.energy for state in morse_spectrum(well)]
+        energies = energies[1:] if shift > 0 else [2 * energies[0] - energies[1]] + energies
+        monkeypatch.setattr(oracle, "morse_spectrum", lambda params: [
+            MorseState(k, 1.0, e, 1.0) for k, e in enumerate(energies)])
+        with pytest.raises(BracketError, match=message):
+            solve_morse(well, n)
+        assert meshes == counted
 
     @pytest.mark.parametrize("window,states", [((-2.0, -0.5), 1), ((-4.0, -0.01), 3)])
     def test_scan_counts_two_edges(self, meshes, window, states):
