@@ -11,9 +11,9 @@ give the log-derivative mismatch there and the matched node count S(E), the sum
 of the two one-sided counts.  S changes only at the mismatch's poles, so
 {E : S(E) = n} is the pole-free window holding the n-th eigenvalue and one zero
 of the mismatch.  The refinement probes its guess and a pad past it, bisects
-until both ends lie in that window, which certifies them, then takes Illinois
-false-position steps until the bracket is narrower than tol_rel times its larger
-end.  Forward node counts at the ends, on the requested mesh, check a scan's
+until both ends lie in that window, which certifies them, then takes Anderson-
+Bjorck false-position steps until the bracket is narrower than tol_rel times its
+larger end.  Forward node counts at the ends, on the requested mesh, check a scan's
 window, an unguessed bracket and a guessed one whose ends were not certified.
 
 On a 1-D mesh y is the wavefunction, f0 = k V and w = k, k = 2m/hbar^2.
@@ -25,15 +25,17 @@ u = sqrt(r) y on [1e-7 r_max, r_max] and the table {p: (a_p, b_p)} =
 2: (k v2/alpha^2, 0)}.  rho = 0 is a regular singular point: the Frobenius
 series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two values.
 
-The solve_* wrappers guess the closed form.  Every solve is refined again from
-its result, uncounted, on a mesh with doubled spacing; the difference, scaled by
-1/15, is reported as a Richardson error estimate.  A scan builds each mesh once.
+The solve_* wrappers guess the closed form, and a solve is refined again from its
+result, uncounted, on a mesh with doubled spacing.  A scan, with no guess, searches
+each state across its window on that mesh first and refines it on the requested
+one from there.  The levels differ by 15 Richardson error estimates.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -78,8 +80,7 @@ class Grid1D(Record):
     points: int
 
     def __post_init__(self):
-        if self.points < 1000:
-            raise DomainError(f"grid needs at least 1000 points, got {self.points}")
+        _whole(self.points, "grid points", 1000)
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise DomainError(f"grid needs finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
 
@@ -162,11 +163,14 @@ class _Shooting:
             return math.inf
         s = math.sqrt(c[0])
         a = [1.0]  # a_j j (j + 2s) = sum_{p > 0} c_p a_{j-p}
-        for j in range(1, 5):
+        for j in range(1, 14):
             a.append(sum(cp * a[j - p] for p, cp in c.items() if 0 < p <= j)
                      / (j * (j + 2.0 * s)))
-        series = np.polyval(a[::-1], rho[i0:i0 + 2])
-        return math.exp(self.h * s) * float(series[1] / series[0])
+        t0, t1 = rho[i0:i0 + 2].tolist()
+        y0 = y1 = 0.0
+        for aj in reversed(a):  # Horner's rule as in np.polyval, whose array steps cost 1 us each
+            y0, y1 = y0 * t0 + aj, y1 * t1 + aj
+        return math.exp(self.h * s) * y1 / y0
 
     def _seed_right(self, energy: float, i1: int) -> float:
         """y[i1 - 1] / y[i1]: a decaying tail in a barrier, else y[i1] = 0."""
@@ -242,17 +246,17 @@ def _sweep(ratio: float, coeffs):
     return nodes, ratio
 
 
-def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
+def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
     """Eigenvalue with ``target`` nodes inside ``bracket``, and ``target``, or None
     unless both final ends were probed at S = target.  Such ends hold exactly that
     mesh eigenvalue, as S(E) + [mismatch(E) <= 0] of them lie below any E.
 
-    Every step probes one energy: ``guess`` and then a pad past it toward the
-    eigenvalue, each skipped outside the bracket; then bisection until both
-    ends have the matched node count S = target, which pins them inside the
-    pole-free window holding the eigenvalue; then Illinois false-position steps
-    on the mismatch, kept a quarter tolerance inside the ends, or bisection
-    when three steps have not halved the bracket.
+    Every step is one _Shooting.probe call: ``guess`` and then a pad past it
+    toward the eigenvalue, each skipped outside the bracket; then bisection
+    until both ends have the matched node count S = target, which pins them
+    inside the pole-free window holding the eigenvalue; then Anderson-Bjorck
+    false-position steps on the mismatch, kept a quarter tolerance inside the
+    ends, or bisection when three steps have not halved the bracket.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     s_lo = s_hi = None  # S at each end once probed; the mismatch is > 0 at lo, <= 0 at hi
@@ -273,21 +277,33 @@ def _locate(prob: _Shooting, target: int, bracket, tol_rel: float, guess=None):
         else:
             energy = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
         recent = recent[1:] + [width] if inside else [math.inf] * 3
-        s, f = prob.probe(energy)
+        s, f = probe(energy)
         side = -1 if s < target or (s == target and f > 0.0) else 1
         if energy == guess:  # the pad goes toward the eigenvalue
             start = guess - side * max(5e-4, 5e3 * tol_rel) * abs(guess)
-        if secant and side == moved:  # Illinois: halve the value at the end that stays
+        if secant and side == moved:  # Anderson-Bjorck: scale the value at the end that stays
+            f_old = f_lo if side < 0 else f_hi
+            m = 1.0 - f / f_old if f_old and f / f_old < 1.0 else 0.5
             if side < 0:
-                f_hi *= 0.5
+                f_hi *= m
             else:
-                f_lo *= 0.5
+                f_lo *= m
         moved = side if secant else 0
         if side < 0:
             lo, s_lo, f_lo = energy, s, f
         else:
             hi, s_hi, f_hi = energy, s, f
     return 0.5 * (lo + hi), target if s_lo == s_hi == target else None
+
+
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= ``least``."""
+    try:
+        if (index := operator.index(value)) >= least:
+            return index
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
@@ -303,23 +319,25 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
 
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
                 guess=None) -> OracleResult:
-    """State ``target`` from ``guess``.  Forward node counts check the bracket ends
+    """State ``target`` from ``guess``, then from that result on the doubled-spacing
+    mesh for the Richardson estimate.  Forward node counts check the bracket ends
     before the refinement without a guess, else only if _locate did not certify them."""
     _check_solve_inputs(grid, tol_rel)
-    if target < 0:
-        raise DomainError(f"target_nodes must be >= 0, got {target}")
+    target = _whole(target, "target_nodes", 0)
     fine = build(grid)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     if guess is None:
         _count_ends(fine, target, lo, hi)
-    e_fine, nodes = _locate(fine, target, (lo, hi), tol_rel, guess)
+    e_fine, nodes = _locate(fine.probe, target, (lo, hi), tol_rel, guess)
     if nodes is None and guess is not None:
         _count_ends(fine, target, lo, hi)
     nodes = fine.probe(e_fine)[0] if nodes is None else nodes
     del fine  # the doubled-spacing mesh is built once this one is freed
-    return _with_estimate(e_fine, nodes, build, grid, target, (lo, hi), tol_rel)
+    e_coarse = _locate(build(grid.halved()).probe, target, (lo, hi), tol_rel, e_fine)[0]
+    return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
+                        richardson_error_estimate=abs(e_fine - e_coarse) / 15.0)
 
 
 def _count_ends(prob: _Shooting, target: int, lo: float, hi: float) -> None:
@@ -331,16 +349,9 @@ def _count_ends(prob: _Shooting, target: int, lo: float, hi: float) -> None:
                            f"{target + 1}; the bracket holds no such eigenvalue")
 
 
-def _with_estimate(e_fine: float, nodes: int, build, grid: Grid1D, target: int, bracket,
-                   tol_rel: float) -> OracleResult:
-    """``e_fine`` on ``grid`` with its Richardson estimate: the difference, over 15,
-    from a refinement that starts at it on the doubled-spacing mesh."""
-    e_coarse = _locate(build(grid.halved()), target, bracket, tol_rel, e_fine)[0]
-    return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
-                        richardson_error_estimate=abs(e_fine - e_coarse) / 15.0)
-
-
 def _line_builder(potential, mass: float, hbar: float):
+    if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
+        raise DomainError(f"mass and hbar must be positive and finite, got {mass}, {hbar}")
     kfac = 2.0 * mass / (hbar * hbar)
 
     def build(grid: Grid1D) -> _Shooting:
@@ -417,8 +428,6 @@ def solve_1d(potential, grid: Grid1D, target_nodes: int, mass: float, hbar: floa
     ``bracket`` must contain exactly that eigenvalue; the node counts of the
     forward solution at the bracket ends are checked before any bisection.
     """
-    if mass <= 0.0 or hbar <= 0.0:
-        raise DomainError("mass and hbar must be positive")
     return _solve_dual(_line_builder(potential, mass, hbar), grid, target_nodes,
                        bracket, tol_rel)
 
@@ -442,16 +451,16 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
     ``target`` is either a :class:`RadialProblem` or a 1-D potential callable
     (then ``grid``, ``mass`` and ``hbar`` are required).  The forward node
     counts at the window edges, made once on the requested mesh, give the
-    states inside and are the bracket check of each; each state is then
-    refined individually.  If more than ``max_states`` states live in the
-    window only the lowest ``max_states`` are returned and a RuntimeWarning
-    is issued.
+    states inside and are the bracket check of each.  Each state is searched
+    for across the window on the doubled-spacing mesh, whose probes are
+    memoized as all searches start from the same midpoints, then refined on
+    the requested mesh from there.  If more than ``max_states`` states live in
+    the window only the lowest ones are returned and a RuntimeWarning is issued.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"energy window must be finite with lo < hi, got ({lo}, {hi})")
-    if max_states < 1:
-        raise DomainError(f"max_states must be >= 1, got {max_states}")
+    max_states = _whole(max_states, "max_states", 1)
 
     if isinstance(target, RadialProblem):
         build = _radial_builder(target)
@@ -462,7 +471,6 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
             raise DomainError("scanning a callable potential requires grid, mass and hbar")
         build = _line_builder(target, mass, hbar)
     _check_solve_inputs(grid, tol_rel)
-    build = functools.cache(build)  # each mesh is built once for all the states
 
     fine = build(grid)
     n_lo, n_hi = fine.forward_nodes(lo), fine.forward_nodes(hi)
@@ -471,10 +479,14 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
         warnings.warn(f"energy window holds {inside} states but max_states={max_states}; "
                       "returning the lowest ones (window too small to honour them all)",
                       RuntimeWarning, stacklevel=2)
-    return [_with_estimate(e, fine.probe(e)[0] if n is None else n, build, grid, k, (lo, hi),
-                           tol_rel)
-            for k in range(n_lo, min(n_hi, n_lo + max_states))
-            for e, n in [_locate(fine, k, (lo, hi), tol_rel)]]
+    coarse = functools.cache(build(grid.halved()).probe) if inside > 0 else None
+    results = []
+    for k in range(n_lo, min(n_hi, n_lo + max_states)):
+        e_coarse = _locate(coarse, k, (lo, hi), tol_rel)[0]
+        e, n = _locate(fine.probe, k, (lo, hi), tol_rel, e_coarse)
+        results.append(OracleResult(eigenvalue=e, node_count=fine.probe(e)[0] if n is None else n,
+                                    grid=grid, richardson_error_estimate=abs(e - e_coarse) / 15.0))
+    return results
 
 
 def _default_radial_grid(problem: RadialProblem, energy: float, points: int | None = None,
@@ -514,8 +526,9 @@ def _morse_default_grid(params: MorseParams, points: int | None) -> Grid1D:
 def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
                 tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the n-th Morse bound state of ``params``."""
+    n = _whole(n, "n", 0)
     states = morse_spectrum(params)
-    if n >= len(states) or n < 0:
+    if n >= len(states):
         raise DomainError(f"state {n} does not exist; the well holds {len(states)} states")
     return _solve_state(_morse_builder(params), states, n,
                         _morse_default_grid(params, points), tol_rel)
@@ -525,6 +538,7 @@ def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: fl
               n: int, *, points: int | None = None,
               tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-oscillator state (n, l)."""
+    n = _whole(n, "n", 0)
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=2,
                             z=0.5 * mass * omega * omega, mass=mass, hbar=hbar)
     states = sho_spectrum(dim, l, beta, omega, mass, hbar, n + 1)
@@ -536,6 +550,7 @@ def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: fl
                   n: int, *, points: int | None = None,
                   tol_rel: float = _DEFAULT_TOL_REL) -> OracleResult:
     """Oracle eigenvalue for the singular-Coulomb state (n, l)."""
+    n = _whole(n, "n", 0)
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=z, mass=mass, hbar=hbar)
     states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
     return _solve_state(_radial_builder(problem), states, n,

@@ -30,6 +30,11 @@ def morse_potential(x):
     return -8.0 * t + 8.0 * t * t
 
 
+def three_state_potential(x):
+    t = np.exp(-x)
+    return -12.0 * t + 8.0 * t * t
+
+
 class TestGrid:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -138,6 +143,16 @@ class TestMorseTail:
         assert result.node_count == n
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("params,rel", [
+        (MorseParams(v1=-0.88349, v2=15.057, alpha=0.5711, mass=1.224, hbar=0.6177), 1e-9),
+        (MorseParams(v1=-6.394, v2=19.636, alpha=1.981, mass=1.529, hbar=1.231), 5e-9),
+    ], ids=["s-0.0048", "s-0.0174"])
+    def test_shallow_ground_states_on_the_default_mesh(self, params, rel):
+        # The tail seed carries 13 Frobenius terms: with 4 these two states
+        # were off by 4.9e-8 and 9.2e-9.
+        want = morse_spectrum(params)[0].energy
+        assert solve_morse(params, 0).eigenvalue == pytest.approx(want, rel=rel, abs=0)
+
 
 def harmonic_potential(x):
     return 0.5 * x * x
@@ -226,11 +241,11 @@ class TestRefinement:
         # form only change the probes: the state and its energy stay.
         prob, bracket, e0, e1 = case
         tol_rel = 1e-10
-        want, nodes = oracle._locate(prob, 0, bracket, tol_rel)
+        want, nodes = oracle._locate(prob.probe, 0, bracket, tol_rel)
         assert nodes == 0
         assert want == pytest.approx(e0, rel=1e-6)
         for guess in (e1, 2.0 * bracket[0], bracket[1] + 1.0, e0):
-            energy, nodes = oracle._locate(prob, 0, bracket, tol_rel, guess)
+            energy, nodes = oracle._locate(prob.probe, 0, bracket, tol_rel, guess)
             assert nodes == 0
             assert abs(energy - want) <= tol_rel * abs(want)
 
@@ -259,6 +274,29 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="got 1998"):
             solve_radial(RadialProblem(dim=3, l=0, beta=0.0, delta=-1, z=-1.0, mass=1.0,
                                        hbar=1.0), Grid1D(0.0, 30.0, 1998), 0, (-0.6, -0.4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0.5, 1.0, 1.0, (-2.0, -0.5)),
+        lambda: solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), math.nan, 1.0, 1.0,
+                         (-2.0, -0.5)),
+        lambda: solve_morse(TWO_STATE, 1.5),
+        lambda: solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 1.5),
+        lambda: solve_coulomb(3, 0, 0.0, -1.0, 1.0, 1.0, 1.0),
+        lambda: solve_morse(TWO_STATE, 0, points=2000.5),
+        lambda: scan_spectrum(morse_potential, (-2.0, 0.0), 2.5, grid=Grid1D(-2.5, 30.0, 6001),
+                              mass=1.0, hbar=1.0),
+        lambda: scan_spectrum(morse_potential, (-2.0, 0.0), math.nan,
+                              grid=Grid1D(-2.5, 30.0, 6001), mass=1.0, hbar=1.0),
+        lambda: Grid1D(0.0, 1.0, 3000.5),
+        lambda: solve_1d(morse_potential, Grid1D(-3.0, 30.0, 6001), 0, math.nan, 1.0,
+                         (-2.0, -0.5)),
+        lambda: scan_spectrum(morse_potential, (-2.0, 0.0), 5, grid=Grid1D(-2.5, 30.0, 6001),
+                              mass=1.0, hbar=math.inf),
+    ], ids=["target-half", "target-nan", "morse-n", "sho-n", "coulomb-n", "points",
+            "max-states-half", "max-states-nan", "grid-points", "mass-nan", "scan-hbar-inf"])
+    def test_bad_index_or_unit_is_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     @pytest.mark.parametrize("solve", [
         lambda: solve_sho(3, 0, 0.0, 1.0, 1.0, 1.0, 0, points=oracle._MAX_POINTS + 2),
@@ -450,6 +488,45 @@ class TestScan:
                                 mass=1.0, hbar=1.0)
         assert [r.node_count for r in results] == [0, 1, 2]
         assert calls == [6001, 3001]
+
+    def test_requested_mesh_refines_from_the_coarse_result(self, monkeypatch):
+        # Each state is searched for across the window on the doubled-spacing
+        # mesh, so the requested mesh sees only a guessed refinement.
+        sizes = []  # mesh size of every probe
+        probe = oracle._Shooting.probe
+
+        def counted(prob, energy):
+            sizes.append(prob.f0.size)
+            return probe(prob, energy)
+
+        monkeypatch.setattr(oracle._Shooting, "probe", counted)
+        results = scan_spectrum(three_state_potential, (-4.0, -0.01), 5,
+                                grid=Grid1D(-2.5, 30.0, 6001), mass=1.0, hbar=1.0)
+        assert len(results) == 3
+        assert sizes.count(6001) <= 5 * len(results)
+
+    def test_states_match_unguessed_solves(self):
+        grid, window = Grid1D(-2.5, 30.0, 6001), (-4.0, -0.01)
+        results = scan_spectrum(three_state_potential, window, 5, grid=grid, mass=1.0, hbar=1.0)
+        assert len(results) == 3
+        for k, result in enumerate(results):
+            want = solve_1d(three_state_potential, grid, k, 1.0, 1.0, window)
+            assert result.node_count == want.node_count == k
+            assert abs(result.eigenvalue - want.eigenvalue) <= (
+                2.0 * oracle._DEFAULT_TOL_REL * abs(want.eigenvalue))
+
+    def test_window_edge_between_the_two_meshes_eigenvalues(self):
+        # On 2001 points state 1 lies 2.3e-7 above its doubled-spacing twin; a
+        # window starting between them holds it on the requested mesh only.
+        grid = Grid1D(-2.5, 30.0, 2001)
+        build = oracle._line_builder(three_state_potential, 1.0, 1.0)
+        fine = oracle._locate(build(grid).probe, 1, (-4.0, -0.01), 1e-13)[0]
+        coarse = oracle._locate(build(grid.halved()).probe, 1, (-4.0, -0.01), 1e-13)[0]
+        assert coarse < fine - 1e-7
+        results = scan_spectrum(three_state_potential, (0.5 * (coarse + fine), -0.01), 5,
+                                grid=grid, mass=1.0, hbar=1.0)
+        assert [r.node_count for r in results] == [1, 2]
+        assert abs(results[0].eigenvalue - fine) <= 2.0 * oracle._DEFAULT_TOL_REL * abs(fine)
 
     def test_callable_requires_grid(self):
         with pytest.raises(DomainError):
