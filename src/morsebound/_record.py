@@ -2,7 +2,10 @@
 
 
 class Record:
-    """Fields are the names annotated on the class, in order; a class-level value is a default."""
+    """Fields are the names annotated on the class, in order; a class-level value is a default.
+    A subclass without defaults may end with ``__slots__ = tuple(__annotations__)``."""
+
+    __slots__ = ()
 
     def __init__(self, *args, **kwargs):
         names = type(self).__annotations__
@@ -22,6 +25,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __reduce__(self):  # by position: the default way for slots would call __setattr__
+        return type(self), tuple(value for _, value in self._fields())
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._fields())})"

@@ -21,7 +21,8 @@ a float, a wavefunction sample that is not finite, and an oracle mesh past
 1,250,001 points are domain errors (exit 1).
 
 ``verify --tol`` sets the relative tolerance (default 1e-6) and ``--points``
-the points of the oracle's default mesh (8001 for every system); no
+fixes the points of the oracle's mesh; without it the mesh starts at 2001
+points and doubles, up to 8001, where the Richardson estimate asks.  No
 environment variable sets either.
 """
 
@@ -95,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--tol", type=float, default=1e-6,
                     help="relative tolerance (default 1e-6)")
     vf.add_argument("--points", type=int, default=None,
-                    help="oracle default-mesh points (default 8001)")
+                    help="fixed oracle mesh points (default 2001, doubled up to 8001 "
+                         "where the Richardson estimate asks)")
 
     dg = sub.add_parser("degeneracy", help="hyperspherical degeneracy table d_l(D)")
     dg.add_argument("--dim", type=int, required=True)

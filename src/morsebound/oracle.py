@@ -28,7 +28,9 @@ series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two valu
 The solve_* wrappers guess the closed form, and a solve is refined again from its
 result, uncounted, on a mesh with doubled spacing.  A scan, with no guess, searches
 each state across its window on that mesh first and refines it on the requested
-one from there.  The levels differ by 15 Richardson error estimates.
+one from there.  Both report E* = E_h + (E_h - E_2h)/15 and R = |E_h - E_2h|/15.  A
+default mesh starts at 2001 points and doubles, up to 8001, while some R > 1e-8 |E*|;
+a finer level starts from E* and reuses the last one as its doubled-spacing mesh.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ _MAX_ITER = 200
 # so skipping the over-stiff points loses nothing.
 _BARRIER_CAP = 0.8
 _R_MIN = 1e-7  # inner end of a radial log mesh, relative to r_max
-_DEFAULT_POINTS = 8001  # points of every default mesh
+_DEFAULT_POINTS, _FINEST_DEFAULT = 2001, 8001  # first and last level of every default mesh
+_DOUBLING_REL = 1e-8  # a default mesh doubles while some state has R > this * |E*|
 _MAX_SCAN_REACH = 25_000.0  # no default scan box past this r: one box serves the whole window
 
 
@@ -78,6 +81,7 @@ class Grid1D(Record):
     x_min: float
     x_max: float
     points: int
+    __slots__ = tuple(__annotations__)
 
     def __post_init__(self):
         _whole(self.points, "grid points", 1000)
@@ -103,6 +107,7 @@ class OracleResult(Record):
     node_count: int
     grid: Grid1D
     richardson_error_estimate: float
+    __slots__ = tuple(__annotations__)  # no dict per result: callers keep many of them
 
 
 class _Shooting:
@@ -158,17 +163,24 @@ class _Shooting:
         if self.series is None:
             return self._growth(energy, i0)[1]
         rho, terms = self.series
-        c = {p: a - b * energy for p, (a, b) in terms.items()}
-        if c[0] <= 0.0:  # no decaying branch at or above the threshold: y[i0] = 0
-            return math.inf
-        s = math.sqrt(c[0])
-        a = [1.0]  # a_j j (j + 2s) = sum_{p > 0} c_p a_{j-p}
-        for j in range(1, 14):
-            a.append(sum(cp * a[j - p] for p, cp in c.items() if 0 < p <= j)
-                     / (j * (j + 2.0 * s)))
-        t0, t1 = rho[i0:i0 + 2].tolist()
+        if (c0 := terms[0][0] - terms[0][1] * energy) <= 0.0:
+            return math.inf  # no decaying branch at or above the threshold: y[i0] = 0
+        s = math.sqrt(c0)
+        c = [(p, a - b * energy) for p, (a, b) in terms.items() if p]
+        t0, t1 = rho[i0:i0 + 2].tolist()  # t1 > t0: rho grows along the sweep
+        # a_j j (j + 2s) = sum_{p > 0} c_p a_{j-p} up to a_13, a_0 = 1 after max(p) zeros; the
+        # terms stop once max(p) in a row (the oscillator's odd a_j are 0) are below an ulp.
+        top = max(terms)
+        a, total, quiet = [0.0] * top + [1.0], 1.0, 0
+        while quiet < top and (j := len(a) - top) < 14:
+            aj = 0.0
+            for p, cp in c:
+                aj += cp * a[-p]
+            a.append(aj := aj / (j * (j + 2.0 * s)))
+            total += (term := abs(aj) * t1 ** j)
+            quiet = quiet + 1 if term < 2.0 ** -53 * total else 0
         y0 = y1 = 0.0
-        for aj in reversed(a):  # Horner's rule as in np.polyval, whose array steps cost 1 us each
+        for aj in reversed(a[top:]):  # Horner's rule: np.polyval's array steps cost 1 us each
             y0, y1 = y0 * t0 + aj, y1 * t1 + aj
         return math.exp(self.h * s) * y1 / y0
 
@@ -280,7 +292,7 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
         s, f = probe(energy)
         side = -1 if s < target or (s == target and f > 0.0) else 1
         if energy == guess:  # the pad goes toward the eigenvalue
-            start = guess - side * max(5e-4, 5e3 * tol_rel) * abs(guess)
+            start = guess - side * _pad(guess, tol_rel)
         if secant and side == moved:  # Anderson-Bjorck: scale the value at the end that stays
             f_old = f_lo if side < 0 else f_hi
             m = 1.0 - f / f_old if f_old and f / f_old < 1.0 else 0.5
@@ -294,6 +306,11 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
         else:
             hi, s_hi, f_hi = energy, s, f
     return 0.5 * (lo + hi), target if s_lo == s_hi == target else None
+
+
+def _pad(energy: float, tol_rel: float) -> float:
+    """How far past a guess _locate probes second, toward the eigenvalue."""
+    return max(5e-4, 5e3 * tol_rel) * abs(energy)
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -317,27 +334,44 @@ def _check_solve_inputs(grid: Grid1D, tol_rel: float) -> None:
                           f"{grid.points}; pass a coarser grid= or fewer points")
 
 
+def _extrapolated(e_fine: float, e_coarse: float, nodes: int, grid: Grid1D) -> OracleResult:
+    """E* = E_h + (E_h - E_2h)/15, with the Richardson estimate R = |E_h - E_2h|/15."""
+    step = (e_fine - e_coarse) / 15.0
+    return OracleResult(e_fine + step, nodes, grid, richardson_error_estimate=abs(step))
+
+
+def _finer(grid: Grid1D, results, grow: bool):
+    """The next level of a default (``grow``) mesh, with halved spacing, if one is due."""
+    if grow and grid.points < _FINEST_DEFAULT and any(
+            r.richardson_error_estimate > _DOUBLING_REL * abs(r.eigenvalue) for r in results):
+        return Grid1D(grid.x_min, grid.x_max, 2 * grid.points - 1)
+
+
 def _solve_dual(build, grid: Grid1D, target: int, bracket, tol_rel: float,
-                guess=None) -> OracleResult:
-    """State ``target`` from ``guess``, then from that result on the doubled-spacing
-    mesh for the Richardson estimate.  Forward node counts check the bracket ends
+                guess=None, grow: bool = False, e_coarse=None) -> OracleResult:
+    """State ``target`` from ``guess``, extrapolated against ``e_coarse`` or else against
+    the doubled-spacing mesh's result from there; a finer level, if due, starts from E*
+    with this one as its doubled-spacing one.  Forward node counts check the bracket ends
     before the refinement without a guess, else only if _locate did not certify them."""
     _check_solve_inputs(grid, tol_rel)
     target = _whole(target, "target_nodes", 0)
-    fine = build(grid)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    fine = build(grid)
     if guess is None:
         _count_ends(fine, target, lo, hi)
     e_fine, nodes = _locate(fine.probe, target, (lo, hi), tol_rel, guess)
     if nodes is None and guess is not None:
         _count_ends(fine, target, lo, hi)
     nodes = fine.probe(e_fine)[0] if nodes is None else nodes
-    del fine  # the doubled-spacing mesh is built once this one is freed
-    e_coarse = _locate(build(grid.halved()).probe, target, (lo, hi), tol_rel, e_fine)[0]
-    return OracleResult(eigenvalue=e_fine, node_count=nodes, grid=grid,
-                        richardson_error_estimate=abs(e_fine - e_coarse) / 15.0)
+    del fine  # the next mesh is built once this one is freed
+    if e_coarse is None:
+        e_coarse = _locate(build(grid.halved()).probe, target, (lo, hi), tol_rel, e_fine)[0]
+    result = _extrapolated(e_fine, e_coarse, nodes, grid)
+    if (finer := _finer(grid, [result], grow)) is None:
+        return result
+    return _solve_dual(build, finer, target, bracket, tol_rel, result.eigenvalue, grow, e_fine)
 
 
 def _count_ends(prob: _Shooting, target: int, lo: float, hi: float) -> None:
@@ -450,18 +484,21 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
 
     ``target`` is either a :class:`RadialProblem` or a 1-D potential callable
     (then ``grid``, ``mass`` and ``hbar`` are required).  The forward node
-    counts at the window edges, made once on the requested mesh, give the
-    states inside and are the bracket check of each.  Each state is searched
+    counts at the window edges, made once on the first requested mesh, give
+    the states inside and are the bracket check of each.  Each state is searched
     for across the window on the doubled-spacing mesh, whose probes are
     memoized as all searches start from the same midpoints, then refined on
-    the requested mesh from there.  If more than ``max_states`` states live in
-    the window only the lowest ones are returned and a RuntimeWarning is issued.
+    the requested mesh from there; a twin past a window edge is found again
+    around that result.  Without ``grid`` every state moves to a finer level
+    when one asks.  If more than ``max_states`` states live in the window only
+    the lowest ones are returned and a RuntimeWarning is issued.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"energy window must be finite with lo < hi, got ({lo}, {hi})")
     max_states = _whole(max_states, "max_states", 1)
 
+    grow = grid is None
     if isinstance(target, RadialProblem):
         build = _radial_builder(target)
         if grid is None:
@@ -474,19 +511,25 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
 
     fine = build(grid)
     n_lo, n_hi = fine.forward_nodes(lo), fine.forward_nodes(hi)
-    inside = n_hi - n_lo
-    if inside > max_states:
+    if (inside := n_hi - n_lo) > max_states:
         warnings.warn(f"energy window holds {inside} states but max_states={max_states}; "
                       "returning the lowest ones (window too small to honour them all)",
                       RuntimeWarning, stacklevel=2)
-    coarse = functools.cache(build(grid.halved()).probe) if inside > 0 else None
-    results = []
-    for k in range(n_lo, min(n_hi, n_lo + max_states)):
-        e_coarse = _locate(coarse, k, (lo, hi), tol_rel)[0]
-        e, n = _locate(fine.probe, k, (lo, hi), tol_rel, e_coarse)
-        results.append(OracleResult(eigenvalue=e, node_count=fine.probe(e)[0] if n is None else n,
-                                    grid=grid, richardson_error_estimate=abs(e - e_coarse) / 15.0))
-    return results
+    states = range(n_lo, min(n_hi, n_lo + max_states))
+    coarse = functools.cache(build(grid.halved()).probe) if states else None
+    located = [_locate(coarse, k, (lo, hi), tol_rel) for k in states]
+    guesses = [e for e, _ in located]
+    while True:
+        twins, results = located, []
+        located = [_locate(fine.probe, k, (lo, hi), tol_rel, g) for k, g in zip(states, guesses)]
+        for k, (e, n), (e_coarse, certified) in zip(states, located, twins):
+            if certified is None:  # the twin lies past a window edge: find it around e instead
+                pad = _pad(e, tol_rel)
+                e_coarse = _locate(coarse, k, (e - pad, e + pad), tol_rel, e)[0]
+            results.append(_extrapolated(e, e_coarse, fine.probe(e)[0] if n is None else n, grid))
+        if (grid := _finer(grid, results, grow)) is None:
+            return results
+        coarse, fine, guesses = fine.probe, build(grid), [r.eigenvalue for r in results]
 
 
 def _default_radial_grid(problem: RadialProblem, energy: float, points: int | None = None,
@@ -531,7 +574,7 @@ def solve_morse(params: MorseParams, n: int, *, points: int | None = None,
     if n >= len(states):
         raise DomainError(f"state {n} does not exist; the well holds {len(states)} states")
     return _solve_state(_morse_builder(params), states, n,
-                        _morse_default_grid(params, points), tol_rel)
+                        _morse_default_grid(params, points), tol_rel, points is None)
 
 
 def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: float,
@@ -542,8 +585,8 @@ def solve_sho(dim: int, l: int, beta: float, omega: float, mass: float, hbar: fl
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=2,
                             z=0.5 * mass * omega * omega, mass=mass, hbar=hbar)
     states = sho_spectrum(dim, l, beta, omega, mass, hbar, n + 1)
-    return _solve_state(_radial_builder(problem), states, n,
-                        _default_radial_grid(problem, states[n].energy, points), tol_rel)
+    grid = _default_radial_grid(problem, states[n].energy, points)
+    return _solve_state(_radial_builder(problem), states, n, grid, tol_rel, points is None)
 
 
 def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: float,
@@ -553,11 +596,11 @@ def solve_coulomb(dim: int, l: int, beta: float, z: float, mass: float, hbar: fl
     n = _whole(n, "n", 0)
     problem = RadialProblem(dim=dim, l=l, beta=beta, delta=-1, z=z, mass=mass, hbar=hbar)
     states = coulomb_spectrum(dim, l, beta, z, mass, hbar, n + 1)
-    return _solve_state(_radial_builder(problem), states, n,
-                        _default_radial_grid(problem, states[n].energy, points), tol_rel)
+    grid = _default_radial_grid(problem, states[n].energy, points)
+    return _solve_state(_radial_builder(problem), states, n, grid, tol_rel, points is None)
 
 
-def _solve_state(build, states, n: int, grid: Grid1D, tol_rel: float) -> OracleResult:
+def _solve_state(build, states, n: int, grid: Grid1D, tol_rel: float, grow: bool):
     """State n of ``states`` on ``build``'s problem, from its closed form, in a
     window of 20% of |E| around it, capped at 45% of each gap to a neighbour."""
     energy = states[n].energy
@@ -566,4 +609,4 @@ def _solve_state(build, states, n: int, grid: Grid1D, tol_rel: float) -> OracleR
         pad_up = min(pad_up, 0.45 * (states[n + 1].energy - energy))
     if n > 0:
         pad_dn = min(pad_dn, 0.45 * (energy - states[n - 1].energy))
-    return _solve_dual(build, grid, n, (energy - pad_dn, energy + pad_up), tol_rel, energy)
+    return _solve_dual(build, grid, n, (energy - pad_dn, energy + pad_up), tol_rel, energy, grow)

@@ -120,7 +120,8 @@ def morse_states(seed):
 
 class TestMorseTail:
     """The tail t = e^(-alpha x) -> 0 is seeded from its Frobenius series, so the
-    default mesh keeps 8001 points however slowly the state decays."""
+    default mesh stays within its levels of 2001 to 8001 points however slowly the
+    state decays."""
 
     @pytest.mark.parametrize("seed", [5, 11, 23])
     def test_seeded_states_on_the_default_mesh(self, seed):
@@ -128,7 +129,7 @@ class TestMorseTail:
             want = morse_spectrum(params)[n].energy
             result = solve_morse(params, n)
             assert result.node_count == n
-            assert result.grid.points == 8001
+            assert result.grid.points in (2001, 4001, 8001)
             assert abs(result.eigenvalue - want) <= oracle._DEFAULT_TOL_REL * max(1.0, abs(want))
 
     def test_near_threshold_state_stays_small(self):
@@ -152,6 +153,15 @@ class TestMorseTail:
         # were off by 4.9e-8 and 9.2e-9.
         want = morse_spectrum(params)[0].energy
         assert solve_morse(params, 0).eigenvalue == pytest.approx(want, rel=rel, abs=0)
+
+    def test_strong_well_high_state(self):
+        # The h^4 error of this n = 6 state passed the 1e-10 stop width on a
+        # fixed 8001-point mesh (2.2e-10); the extrapolated value is closer.
+        params = MorseParams(v1=-82.39, v2=11.75, alpha=1.675, mass=1.0, hbar=1.431)
+        want = morse_spectrum(params)[6].energy
+        result = solve_morse(params, 6)
+        assert result.node_count == 6
+        assert result.eigenvalue == pytest.approx(want, rel=5e-11, abs=0)
 
 
 def harmonic_potential(x):
@@ -427,6 +437,73 @@ class TestRadialOracle:
         assert 10.0 < second < 26.0
 
 
+def level_draws(seed):
+    """Thirty states per family as (solve, args, closed form): Morse s log-uniform in
+    [1e-3, 0.1] for every other state and uniform in [0.1, 3] for the rest; radial
+    D 2-5, l <= 3 and S uniform in [0.1, 3]; n <= 4; about half with mass or hbar != 1."""
+    rng = random.Random(seed)
+
+    def units():
+        return (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) if rng.random() < 0.5 else (1.0, 1.0)
+
+    draws = []
+    for k in range(30):
+        n = rng.randint(0, 4)
+        s = 10.0 ** rng.uniform(-3.0, -1.0) if k % 2 else rng.uniform(0.1, 3.0)
+        mass, hbar = units()
+        alpha, v2 = rng.uniform(0.5, 2.0), rng.uniform(2.0, 10.0)
+        v1 = -(n + 0.5 + s) * hbar * alpha * math.sqrt(2.0 * mass * v2) / mass
+        params = MorseParams(v1=v1, v2=v2, alpha=alpha, mass=mass, hbar=hbar)
+        draws.append((solve_morse, (params, n), morse_spectrum(params)[n].energy))
+    for solve, spectrum, sign in ((solve_sho, sho_spectrum, 1.0),
+                                  (solve_coulomb, coulomb_spectrum, -1.0)):
+        for _ in range(30):
+            dim, l, n = rng.randint(2, 5), rng.randint(0, 3), rng.randint(0, 4)
+            beta = rng.uniform(0.1, 3.0) ** 2 - (l + (dim - 2) / 2.0) ** 2
+            mass, hbar = units()
+            args = (dim, l, beta, sign * rng.uniform(0.5, 2.0), mass, hbar)
+            draws.append((solve, args + (n,), spectrum(*args, n)[n].energy))
+    return draws
+
+
+class TestLevels:
+    """A default mesh starts at 2001 points and doubles, up to 8001, while some
+    state's Richardson estimate exceeds 1e-8 |E*|; an explicit mesh stays as given."""
+
+    def test_default_mesh_doubles_only_when_asked(self):
+        # E* on 2001 points is off by 4.6e-8 here, past the 1e-8 of its case in
+        # test_default_grid_follows_the_length_scale.
+        args = (3, 1000, 0.0, -1.0, 1.0, 1.0, 2)
+        assert solve_coulomb(*args).grid.points > 2001
+        assert solve_coulomb(*args, points=2001).grid.points == 2001
+
+    def test_scan_doubles_for_every_state_if_one_asks(self):
+        problem = RadialProblem(dim=3, l=0, beta=-0.24, delta=2, z=0.5, mass=1.0, hbar=1.0)
+        levels = [st.energy for st in sho_spectrum(3, 0, -0.24, 1.0, 1.0, 1.0, 5)]
+        ground = scan_spectrum(problem, (0.0, 0.5 * (levels[0] + levels[1])), 1)
+        assert [r.grid.points for r in ground] == [2001]
+        results = scan_spectrum(problem, (0.0, 0.5 * (levels[4] + levels[5])), 6)
+        assert [r.grid.points for r in results] == [4001] * 5
+        assert [r.node_count for r in results] == [0, 1, 2, 3, 4]
+        for result, want in zip(results, levels):
+            assert result.eigenvalue == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    def test_seeded_draws(self, seed):
+        for solve, args, want in level_draws(seed):
+            result = solve(*args)
+            error = abs(result.eigenvalue - want)
+            assert result.node_count == args[-1]
+            assert error <= 1e-7 * abs(want)
+            # The radial errors stay inside the Richardson estimate.  Morse states
+            # next to the threshold (s ~ 1e-3) carry an error from the box wall and
+            # the recurrence's rounding that no refinement of the mesh shows, so
+            # the estimate does not bound them: an open defect of the Morse oracle,
+            # not a reason to narrow these draws.
+            if solve is not solve_morse:
+                assert error <= result.richardson_error_estimate
+
+
 class TestScan:
     def test_morse_window_finds_exactly_two(self):
         grid = Grid1D(-2.5, 30.0, 6001)
@@ -517,16 +594,24 @@ class TestScan:
 
     def test_window_edge_between_the_two_meshes_eigenvalues(self):
         # On 2001 points state 1 lies 2.3e-7 above its doubled-spacing twin; a
-        # window starting between them holds it on the requested mesh only.
-        grid = Grid1D(-2.5, 30.0, 2001)
+        # window starting between them holds it on the requested mesh only.  The
+        # twin is then found past the window edge, not clamped to it, so the
+        # scan extrapolates and estimates as a solve on the full window does.
+        grid, full = Grid1D(-2.5, 30.0, 2001), (-4.0, -0.01)
         build = oracle._line_builder(three_state_potential, 1.0, 1.0)
-        fine = oracle._locate(build(grid).probe, 1, (-4.0, -0.01), 1e-13)[0]
-        coarse = oracle._locate(build(grid.halved()).probe, 1, (-4.0, -0.01), 1e-13)[0]
+        fine = oracle._locate(build(grid).probe, 1, full, 1e-13)[0]
+        coarse = oracle._locate(build(grid.halved()).probe, 1, full, 1e-13)[0]
         assert coarse < fine - 1e-7
         results = scan_spectrum(three_state_potential, (0.5 * (coarse + fine), -0.01), 5,
                                 grid=grid, mass=1.0, hbar=1.0)
         assert [r.node_count for r in results] == [1, 2]
-        assert abs(results[0].eigenvalue - fine) <= 2.0 * oracle._DEFAULT_TOL_REL * abs(fine)
+        want = solve_1d(three_state_potential, grid, 1, 1.0, 1.0, full)
+        tol = 2.0 * oracle._DEFAULT_TOL_REL * abs(want.eigenvalue)
+        assert abs(results[0].eigenvalue - want.eigenvalue) <= tol
+        assert abs(results[0].richardson_error_estimate - want.richardson_error_estimate) <= tol
+        closed_form = morse_spectrum(MorseParams(v1=-12.0, v2=8.0, alpha=1.0, mass=1.0,
+                                                 hbar=1.0))[1].energy
+        assert results[0].eigenvalue == pytest.approx(closed_form, rel=5e-11, abs=0)
 
     def test_callable_requires_grid(self):
         with pytest.raises(DomainError):
@@ -590,8 +675,8 @@ class TestBracketCounts:
         assert meshes == counted
 
     @pytest.mark.parametrize("n,shift,message,counted", [
-        (0, 1, "node count 1 at the lower bracket end exceeds the target 0", [8001]),
-        (1, -1, "node count 1 at the upper bracket end does not reach 2", [8001, 8001]),
+        (0, 1, "node count 1 at the lower bracket end exceeds the target 0", [2001]),
+        (1, -1, "node count 1 at the upper bracket end does not reach 2", [2001, 2001]),
     ], ids=["past-the-upper-neighbour", "past-the-lower-neighbour"])
     def test_wrong_closed_form_is_a_bracket_error(self, meshes, monkeypatch, n, shift,
                                                    message, counted):

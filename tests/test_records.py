@@ -68,3 +68,11 @@ def test_system_radial_defaults_to_none():
     system = cli._System(flags=(), spectrum=len, label=abs, wave=min, solve=max)
     assert system.radial is None
     assert system == cli._System((), len, abs, min, max, None)
+
+
+def test_oracle_records_carry_no_dict():
+    # A scan, and a caller checking many states, keep every result; slots keep
+    # each one at about 200 bytes with its grid, where dicts took about 280.
+    grid = Grid1D(0.0, 1.0, 2001)
+    assert not hasattr(grid, "__dict__")
+    assert not hasattr(OracleResult(-0.5, 0, grid, 1e-12), "__dict__")
