@@ -8,13 +8,16 @@ F = (1 - h^2 f/12) y through R[i] = U[i] - 1/R[i-1], so nothing overflows and
 a node is a negative ratio.  Each refinement step is one probe: a left sweep
 up to the last classical turning point on the mesh and a right sweep down to it
 give the log-derivative mismatch there and the matched node count S(E), the sum
-of the two one-sided counts.  S changes only at the mismatch's poles, so
-{E : S(E) = n} is the pole-free window holding the n-th eigenvalue and one zero
-of the mismatch.  The refinement probes its guess and a pad past it, bisects
-until both ends lie in that window, which certifies them, then takes Anderson-
-Bjorck false-position steps until the bracket is narrower than tol_rel times its
-larger end.  Forward node counts at the ends, on the requested mesh, check a scan's
-window, an unguessed bracket and a guessed one whose ends were not certified.
+of the two one-sided counts; on a 1-D mesh, the caller's box, both start at WKB
+decay 20 from the outermost allowed points, where the other branch is e^-40.
+S changes only at the mismatch's poles, so {E : S(E) = n} is the pole-free
+window holding the n-th eigenvalue and one zero of the mismatch.  The refinement
+probes its guess and pads past it, doubling until one lands past the eigenvalue,
+bisects until both ends lie in that window, which certifies them, then takes
+Anderson-Bjorck false-position steps until the bracket is narrower than tol_rel
+times its larger end.  Forward node counts at the ends, on the requested mesh,
+check a scan's window, an unguessed bracket and a guessed one whose ends were
+not certified.
 
 On a 1-D mesh y is the wavefunction, f0 = k V and w = k, k = 2m/hbar^2.
 Radial and Morse problems are one equation, y'' = sum_p (a_p - b_p E) rho^p y,
@@ -26,11 +29,13 @@ u = sqrt(r) y on [1e-7 r_max, r_max] and the table {p: (a_p, b_p)} =
 series rho^s (1 + a1 rho + ...), s = sqrt(a_0 - b_0 E), seeds the first two values.
 
 The solve_* wrappers guess the closed form, and a solve is refined again from its
-result, uncounted, on a mesh with doubled spacing.  A scan, with no guess, searches
-each state across its window on that mesh first and refines it on the requested
-one from there.  Both report E* = E_h + (E_h - E_2h)/15 and R = |E_h - E_2h|/15.  A
-default mesh starts at 2001 points and doubles, up to 8001, while some R > 1e-8 |E*|;
-a finer level starts from E* and reuses the last one as its doubled-spacing mesh.
+result, uncounted, on a mesh with doubled spacing.  A scan guesses state n from the
+Langer phase integral h sum sqrt(max(w E - f0, 0)) = (n + 1/2) pi on that mesh, which
+holds exactly for all three families in the continuum (Langer, Phys. Rev. 51, 669,
+1937), refines it there first and then on the requested mesh from there.  Both
+report E* = E_h + (E_h - E_2h)/15 and R = |E_h - E_2h|/15.  A default mesh starts
+at 2001 points and doubles, up to 8001, while some R > 1e-8 |E*|; a finer level
+starts from E* and reuses the last one as its doubled-spacing mesh.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ _MAX_ITER = 200
 # minting spurious nodes.  The regular solution is ~0 that deep in a barrier,
 # so skipping the over-stiff points loses nothing.
 _BARRIER_CAP = 0.8
+_DECAY = 20.0  # WKB decay where a line-mesh sweep starts: the other branch is e^-40 < 2^-53
 _R_MIN = 1e-7  # inner end of a radial log mesh, relative to r_max
 _DEFAULT_POINTS, _FINEST_DEFAULT = 2001, 8001  # first and last level of every default mesh
 _DOUBLING_REL = 1e-8  # a default mesh doubles while some state has R > this * |E*|
@@ -134,7 +140,9 @@ class _Shooting:
 
         Fills the buffers with g = h^2 f/12 and, between those indices,
         U = 12/c - 10 with c = 1 - g, formed as 2 + 12 g/c to keep g's precision.
-        Assumes a single-well potential, so {i : g_i <= cap} is one block.
+        Assumes a single-well potential, so {i : g_i <= cap} is one block.  On a
+        line mesh both then move in to decay _DECAY from the outermost allowed
+        points (g <= 0); a Langer box already ends at decay 30 or the series' reach.
         """
         g = np.multiply(self._gw, -energy, out=self._g)
         g += self._g0
@@ -145,6 +153,10 @@ class _Shooting:
                 "almost everywhere (reduce the spacing or the box)"
             )
         i0, i1 = int(inside.argmax()), _last_true(inside)
+        if self.series is None and (allowed := np.less_equal(g, 0.0, out=self._mask)).any():
+            a, b = int(allowed.argmax()), _last_true(allowed)
+            i0 = max(i0, a - 1 - _decay_reach(g[i0:a][::-1], self._u[i0:a][::-1]))
+            i1 = min(i1, b + 1 + _decay_reach(g[b + 1:i1 + 1], self._u[b + 1:i1 + 1]))
         g, u = g[i0:i1 + 1], self._u[i0:i1 + 1]
         np.subtract(1.0, g, out=u)
         np.divide(g, u, out=u)
@@ -237,6 +249,13 @@ def _last_true(mask: np.ndarray) -> int:
     return mask.size - 1 - int(mask[::-1].argmax())
 
 
+def _decay_reach(g: np.ndarray, scratch: np.ndarray) -> int:
+    """Barrier points (g = h^2 f/12, from the well outward) before sum sqrt(12 g) >= _DECAY."""
+    np.multiply(g, 12.0, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    return int(np.searchsorted(np.cumsum(scratch, out=scratch), _DECAY))
+
+
 def _sweep(ratio: float, coeffs):
     """Johnson's renormalized Numerov recurrence R[i] = U[i] - 1/R[i-1].
 
@@ -263,8 +282,9 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
     unless both final ends were probed at S = target.  Such ends hold exactly that
     mesh eigenvalue, as S(E) + [mismatch(E) <= 0] of them lie below any E.
 
-    Every step is one _Shooting.probe call: ``guess`` and then a pad past it
-    toward the eigenvalue, each skipped outside the bracket; then bisection
+    Every step is one _Shooting.probe call: ``guess`` and then pads past it
+    toward the eigenvalue, doubling until one lands past it, each skipped
+    outside the bracket; then bisection
     until both ends have the matched node count S = target, which pins them
     inside the pole-free window holding the eigenvalue; then Anderson-Bjorck
     false-position steps on the mismatch, kept a quarter tolerance inside the
@@ -275,7 +295,7 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
     f_lo = f_hi = 0.0
     recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
     moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
-    start = guess  # probed before any bisection, then a pad past it
+    start, step = guess, 0.0  # probed before any bisection, then pads doubling past it
     iters = 0
     while (width := hi - lo) > (tol := tol_rel * max(abs(lo), abs(hi))):
         if iters >= _MAX_ITER:
@@ -291,8 +311,9 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
         recent = recent[1:] + [width] if inside else [math.inf] * 3
         s, f = probe(energy)
         side = -1 if s < target or (s == target and f > 0.0) else 1
-        if energy == guess:  # the pad goes toward the eigenvalue
-            start = guess - side * _pad(guess, tol_rel)
+        if energy == start:  # pads toward the eigenvalue, doubling until one lands past it
+            step = 0.0 if side * step > 0.0 else 2.0 * step or -side * _pad(guess, tol_rel)
+            start = guess + step if step else None
         if secant and side == moved:  # Anderson-Bjorck: scale the value at the end that stays
             f_old = f_lo if side < 0 else f_hi
             m = 1.0 - f / f_old if f_old and f / f_old < 1.0 else 0.5
@@ -311,6 +332,19 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
 def _pad(energy: float, tol_rel: float) -> float:
     """How far past a guess _locate probes second, toward the eigenvalue."""
     return max(5e-4, 5e3 * tol_rel) * abs(energy)
+
+
+def _phase_guess(prob: _Shooting, k: int, lo: float, hi: float):
+    """E in (lo, hi) with h * sum sqrt(max(w E - f0, 0)) = (k + 1/2) pi on prob's mesh, the
+    Langer phase integral of state k, to a relative 1e-7; None if no such E is found."""
+    def phase(energy: float):  # as a probe with S = k throughout: _locate's false position
+        v = np.multiply(prob.w, energy, out=prob._u)  # scratch: no probe is under way
+        v -= prob.f0
+        np.maximum(v, 0.0, out=v)
+        return k, (k + 0.5) * math.pi - prob.h * float(np.sqrt(v, out=v).sum())
+
+    energy, certified = _locate(phase, k, (lo, hi), 1e-7)  # None: a root past an end
+    return None if certified is None else energy
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -486,9 +520,9 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
     (then ``grid``, ``mass`` and ``hbar`` are required).  The forward node
     counts at the window edges, made once on the first requested mesh, give
     the states inside and are the bracket check of each.  Each state is searched
-    for across the window on the doubled-spacing mesh, whose probes are
-    memoized as all searches start from the same midpoints, then refined on
-    the requested mesh from there; a twin past a window edge is found again
+    for across the window on the doubled-spacing mesh, with memoized probes,
+    from its phase-integral guess if that lies in the window, then refined on
+    the requested mesh from there.  A twin past a window edge is found again
     around that result.  Without ``grid`` every state moves to a finer level
     when one asks.  If more than ``max_states`` states live in the window only
     the lowest ones are returned and a RuntimeWarning is issued.
@@ -516,8 +550,10 @@ def scan_spectrum(target, energy_window, max_states: int, *, grid: Grid1D | None
                       "returning the lowest ones (window too small to honour them all)",
                       RuntimeWarning, stacklevel=2)
     states = range(n_lo, min(n_hi, n_lo + max_states))
-    coarse = functools.cache(build(grid.halved()).probe) if states else None
-    located = [_locate(coarse, k, (lo, hi), tol_rel) for k in states]
+    half = build(grid.halved()) if states else None
+    coarse = functools.cache(half.probe) if states else None
+    located = [_locate(coarse, k, (lo, hi), tol_rel, _phase_guess(half, k, lo, hi))
+               for k in states]
     guesses = [e for e, _ in located]
     while True:
         twins, results = located, []

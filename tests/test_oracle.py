@@ -169,6 +169,7 @@ def harmonic_potential(x):
 
 
 HYDROGEN_P = RadialProblem(dim=3, l=1, beta=0.0, delta=-1, z=-1.0, mass=1.0, hbar=1.0)
+HIGH_L_SHO = RadialProblem(dim=3, l=60, beta=0.0, delta=2, z=0.5, mass=1.0, hbar=1.0)
 
 
 class TestRatioKernel:
@@ -177,15 +178,19 @@ class TestRatioKernel:
     @pytest.mark.parametrize("build,grid,energies,stiff", [
         (oracle._line_builder(morse_potential, 1.0, 1.0), Grid1D(-3.0, 30.0, 6001),
          (-1.9, -1.5, -1.0, -0.6, -0.3, -0.05), False),
-        # A harmonic well in a wide box: the forward solution grows by about
-        # exp(800) through the left barrier, past the float range of y itself.
+        # A harmonic well in a wide box: the sweeps start where the WKB decay
+        # from the well reaches 20, not at the e^800 far side of the barrier.
         (oracle._line_builder(harmonic_potential, 1.0, 1.0), Grid1D(-40.0, 40.0, 8001),
-         (0.3, 1.2, 2.0, 3.7, 6.1), True),
+         (0.3, 1.2, 2.0, 3.7, 6.1), False),
         (oracle._radial_builder(HYDROGEN_P), Grid1D(0.0, 60.0, 8001),
          (-0.2, -0.1, -0.07, -0.04), False),
         # The Morse well swept from its tail, seeded from the Frobenius series.
         (oracle._morse_builder(TWO_STATE), Grid1D(-3.0, 30.0, 6001),
          (-1.9, -1.5, -1.0, -0.6, -0.3, -0.05), False),
+        # An l = 60 oscillator: the Frobenius side grows y by about (1e7)^60.5
+        # across the log mesh, past the float range of y itself.
+        (oracle._radial_builder(HIGH_L_SHO), Grid1D(0.0, 20.0, 8001),
+         (61.0, 62.5, 64.0, 66.5), True),
     ])
     def test_matches_the_product_form(self, build, grid, energies, stiff):
         prob = build(grid)
@@ -645,6 +650,73 @@ class TestScan:
             results = scan_spectrum(morse_potential, (-2.0, 0.0), 2,
                                     grid=grid, mass=1.0, hbar=1.0)
         assert len(results) == 2
+
+
+def quartic_potential(x):
+    return x ** 4
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """Length of every Numerov sweep, in mesh steps."""
+    lengths = []
+    sweep = oracle._sweep
+
+    def counted(ratio, coeffs):
+        lengths.append(len(coeffs))
+        return sweep(ratio, coeffs)
+
+    monkeypatch.setattr(oracle, "_sweep", counted)
+    return lengths
+
+
+class TestSweepWork:
+    """Line-mesh sweeps start inside their barriers, and scans guess each state
+    from the phase integral; neither changes what a solve or a scan finds."""
+
+    @pytest.mark.parametrize("potential,grid,bracket,window", [
+        (harmonic_potential, Grid1D(-40.0, 40.0, 8001), (0.0, 1.0), (0.0, 4.0)),
+        (morse_potential, Grid1D(-3.0, 30.0, 6001), (-2.0, -0.5), (-2.0, 0.0)),
+    ], ids=["harmonic", "morse"])
+    def test_trimmed_barriers_change_no_result(self, monkeypatch, swept, potential, grid,
+                                               bracket, window):
+        def run():
+            return [solve_1d(potential, grid, 0, 1.0, 1.0, bracket)] + scan_spectrum(
+                potential, window, 5, grid=grid, mass=1.0, hbar=1.0)
+
+        trimmed = run()
+        swept.clear()
+        oracle._line_builder(potential, 1.0, 1.0)(grid).probe(trimmed[0].eigenvalue)
+        assert sum(swept) < 0.6 * grid.points  # the lowest state's barriers are trimmed
+        monkeypatch.setattr(oracle, "_DECAY", math.inf)
+        assert run() == trimmed
+        assert [r.node_count for r in trimmed[1:]] == list(range(len(trimmed) - 1))
+
+    def test_quartic_scan_finds_every_state(self, monkeypatch, swept):
+        # WKB is not exact for x^4: the guess of state 0 is off by 18%, far past
+        # the first pad, which doubles until it lands past the eigenvalue.
+        def run():
+            return scan_spectrum(quartic_potential, (0.0, 25.0), 12,
+                                 grid=Grid1D(-6.0, 6.0, 6001), mass=1.0, hbar=1.0)
+
+        guessed, steps = run(), sum(swept)
+        swept.clear()
+        monkeypatch.setattr(oracle, "_phase_guess", lambda *args: None)
+        unguessed = run()
+        assert [r.node_count for r in guessed] == list(range(9))
+        assert [r.node_count for r in unguessed] == list(range(9))
+        for result, want in zip(guessed, unguessed):
+            assert abs(result.eigenvalue - want.eigenvalue) <= 1e-10 * abs(want.eigenvalue)
+        assert steps <= sum(swept)
+
+    def test_phase_guess_of_the_oscillator(self):
+        # The WKB rule gives E_k = k + 1/2 for V = x^2/2, here up to the mesh sum's
+        # error at the turning points; a root outside the window is None.
+        prob = oracle._line_builder(harmonic_potential, 1.0, 1.0)(Grid1D(-10.0, 10.0, 2001))
+        for k in range(4):
+            assert oracle._phase_guess(prob, k, 0.0, 4.0) == pytest.approx(k + 0.5, rel=3e-4)
+        assert oracle._phase_guess(prob, 4, 0.0, 4.0) is None
+        assert oracle._phase_guess(prob, 0, 0.6, 4.0) is None
 
 
 class TestBracketCounts:
