@@ -12,7 +12,7 @@ import math
 
 from ._record import Record
 from .errors import DomainError
-from .specfun import _log_space_product, laguerre, log_gamma
+from .specfun import _last_state, _log_space_product, laguerre, log_gamma
 
 __all__ = [
     "MorseParams",
@@ -130,13 +130,14 @@ def xi_of_x(params: MorseParams, x: float) -> float:
     """Morse variable xi = 2*sqrt(2*m*v2)*exp(-alpha*x)/(hbar*alpha)."""
     if params.v2 <= 0.0:
         raise DomainError("xi is defined only for v2 > 0")
-    ln_xi = (
-        math.log(2.0 * math.sqrt(2.0 * params.mass * params.v2) / (params.hbar * params.alpha))
-        - params.alpha * x
-    )
+    ln_xi = _ln_xi0(params) - params.alpha * x
     if ln_xi > 709.0:
         return math.inf
     return math.exp(ln_xi)
+
+
+def _ln_xi0(params: MorseParams) -> float:  # ln xi(0), for v2 > 0
+    return math.log(2.0 * math.sqrt(2.0 * params.mass * params.v2) / (params.hbar * params.alpha))
 
 
 def _require_member(params: MorseParams, state: MorseState) -> None:
@@ -155,12 +156,18 @@ def eigenfunction(params: MorseParams, state: MorseState, x: float) -> float:
 
     psi_n = N_n * xi^s * exp(-xi/2) * L_n^(2s)(xi) with xi = xi_of_x(x); it
     vanishes like xi^s as x -> +inf and like exp(-xi/2) as x -> -inf.  The
-    product is formed from its logarithms, with ln N_n computed afresh rather
-    than from ``state.norm_const``, which underflows to 0 in deep wells.
+    product is formed from its logarithms, with ln N_n computed once per state
+    rather than from ``state.norm_const``, which underflows to 0 in deep wells.
     """
-    _require_member(params, state)
-    xi = xi_of_x(params, x)
-    if xi == 0.0 or math.isinf(xi):
+    memo = _last_state[0]
+    if memo[0] is not state or memo[1] is not params:
+        _require_member(params, state)
+        values = _ln_xi0(params), _log_norm(params.alpha, state.n, state.s)
+        _last_state[0] = memo = (state, params, values)
+    ln_xi0, log_norm = memo[2]
+    ln_xi = ln_xi0 - params.alpha * x
+    xi = 0.0 if ln_xi > 709.0 else math.exp(ln_xi)  # psi = 0 where xi leaves the float range
+    if xi == 0.0:
         return 0.0
-    return _log_space_product(_log_norm(params.alpha, state.n, state.s), state.s, xi, xi,
-                              state.n, 2.0 * state.s, laguerre(state.n, 2.0 * state.s, xi))
+    return _log_space_product(log_norm, state.s, xi, xi, state.n, 2.0 * state.s,
+                              laguerre(state.n, 2.0 * state.s, xi))

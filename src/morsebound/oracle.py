@@ -280,7 +280,8 @@ def _sweep(ratio: float, coeffs):
 def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
     """Eigenvalue with ``target`` nodes inside ``bracket``, and ``target``, or None
     unless both final ends were probed at S = target.  Such ends hold exactly that
-    mesh eigenvalue, as S(E) + [mismatch(E) <= 0] of them lie below any E.
+    mesh eigenvalue, as S(E) + [mismatch(E) <= 0] of them lie below any E, and the
+    false-position root of their mismatches is returned; otherwise the midpoint.
 
     Every step is one _Shooting.probe call: ``guess`` and then pads past it
     toward the eigenvalue, doubling until one lands past it, each skipped
@@ -292,7 +293,7 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     s_lo = s_hi = None  # S at each end once probed; the mismatch is > 0 at lo, <= 0 at hi
-    f_lo = f_hi = 0.0
+    f_lo = f_hi = v_lo = v_hi = 0.0  # mismatch at each end: v as probed, f Anderson-Bjorck scaled
     recent = [math.inf] * 3  # bracket widths before the last three steps inside the window
     moved = 0  # end the last false-position step replaced: -1 lo, +1 hi
     start, step = guess, 0.0  # probed before any bisection, then pads doubling past it
@@ -323,10 +324,12 @@ def _locate(probe, target: int, bracket, tol_rel: float, guess=None):
                 f_lo *= m
         moved = side if secant else 0
         if side < 0:
-            lo, s_lo, f_lo = energy, s, f
+            lo, s_lo, f_lo, v_lo = energy, s, f, f
         else:
-            hi, s_hi, f_hi = energy, s, f
-    return 0.5 * (lo + hi), target if s_lo == s_hi == target else None
+            hi, s_hi, f_hi, v_hi = energy, s, f, f
+    if s_lo == s_hi == target:
+        return min(max(lo + (hi - lo) * v_lo / (v_lo - v_hi), lo), hi), target
+    return 0.5 * (lo + hi), None
 
 
 def _pad(energy: float, tol_rel: float) -> float:

@@ -13,7 +13,7 @@ import math
 from ._record import Record
 from .errors import DomainError, FamilyMismatchError
 from .langer import angular_factor
-from .specfun import _log_space_product, laguerre, log_gamma
+from .specfun import _last_state, _log_space_product, laguerre, log_gamma
 
 __all__ = [
     "RadialState",
@@ -119,22 +119,27 @@ def sho_eigenfunction(state: RadialState, omega: float, mass: float, hbar: float
     """Normalized oscillator radial function u_n(r).
 
     u = A * r^(1/2+S) * exp(-m*omega*r^2/(2*hbar)) * L_n^(S)(m*omega*r^2/hbar),
-    with A fixed so the half-line norm of u is one.  u(0) = 0.
+    with A fixed so the half-line norm of u is one.  u(0) = 0.  Consecutive
+    calls for one state and (omega, mass, hbar) share its checks, A and gam.
     """
-    if state.family != OSCILLATOR:
-        raise FamilyMismatchError(f"expected an oscillator state, got family={state.family!r}")
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"omega must be positive and finite, got {omega}")
+    memo, key = _last_state[0], (OSCILLATOR, omega, mass, hbar)
+    if memo[0] is not state or memo[1] != key:
+        if state.family != OSCILLATOR:
+            raise FamilyMismatchError(f"expected an oscillator state, got family={state.family!r}")
+        if not 0.0 < omega < math.inf:
+            raise DomainError(f"omega must be positive and finite, got {omega}")
+        _check_member(state, mass, hbar, hbar * omega * (2.0 * state.n + 1.0 + state.S))
+        gam = mass * omega / hbar
+        # A = sqrt(2 * n! * gam^(S+1) / Gamma(n + S + 1))
+        log_a = 0.5 * (math.log(2.0) + log_gamma(state.n + 1.0) + (state.S + 1.0) * math.log(gam)
+                       - log_gamma(state.n + state.S + 1.0))
+        _last_state[0] = memo = (state, key, (gam, log_a))
+    gam, log_a = memo[2]
     if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
-    _check_member(state, mass, hbar, hbar * omega * (2.0 * state.n + 1.0 + state.S))
     if r == 0.0:
         return 0.0
-    gam = mass * omega / hbar
     t = gam * r * r
-    # A = sqrt(2 * n! * gam^(S+1) / Gamma(n + S + 1))
-    log_a = 0.5 * (math.log(2.0) + log_gamma(state.n + 1.0) + (state.S + 1.0) * math.log(gam)
-                   - log_gamma(state.n + state.S + 1.0))
     return _log_space_product(log_a, 0.5 + state.S, r, t, state.n, state.S,
                               laguerre(state.n, state.S, t))
 
@@ -146,22 +151,27 @@ def coulomb_eigenfunction(state: RadialState, z: float, mass: float, hbar: float
     With nu = n + 1/2 + S and a = hbar^2/(m|z|):
     u = B * r^(1/2+S) * exp(-r/(a*nu)) * L_n^(2S)(2r/(a*nu)), unit half-line
     norm, u(0) = 0.  For D=3, beta=0, n=l=0 this is the hydrogen 1s form
-    proportional to r*exp(-r/a).
+    proportional to r*exp(-r/a).  Consecutive calls for one state and
+    (z, mass, hbar) share its checks, B and the length a*nu.
     """
-    if state.family != COULOMB:
-        raise FamilyMismatchError(f"expected a coulomb state, got family={state.family!r}")
+    memo, key = _last_state[0], (COULOMB, z, mass, hbar)
+    if memo[0] is not state or memo[1] != key:
+        if state.family != COULOMB:
+            raise FamilyMismatchError(f"expected a coulomb state, got family={state.family!r}")
+        a, rydberg = _coulomb_scales(z, mass, hbar)
+        nu = state.n + 0.5 + state.S
+        _check_member(state, mass, hbar, -rydberg / nu ** 2)
+        length = a * nu
+        # B = sqrt(n! / ((length/2)^(2S+2) * 2*nu * Gamma(n + 2S + 1)))
+        log_b = 0.5 * (log_gamma(state.n + 1.0) - (2.0 * state.S + 2.0) * math.log(0.5 * length)
+                       - math.log(2.0 * nu) - log_gamma(state.n + 2.0 * state.S + 1.0))
+        _last_state[0] = memo = (state, key, (length, log_b))
+    length, log_b = memo[2]
     if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
-    a, rydberg = _coulomb_scales(z, mass, hbar)
-    nu = state.n + 0.5 + state.S
-    _check_member(state, mass, hbar, -rydberg / nu ** 2)
     if r == 0.0:
         return 0.0
-    length = a * nu
     t = 2.0 * r / length
-    # B = sqrt(n! / ((length/2)^(2S+2) * 2*nu * Gamma(n + 2S + 1)))
-    log_b = 0.5 * (log_gamma(state.n + 1.0) - (2.0 * state.S + 2.0) * math.log(0.5 * length)
-                   - math.log(2.0 * nu) - log_gamma(state.n + 2.0 * state.S + 1.0))
     return _log_space_product(log_b, 0.5 + state.S, r, t, state.n, 2.0 * state.S,
                               laguerre(state.n, 2.0 * state.S, t))
 

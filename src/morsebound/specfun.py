@@ -15,6 +15,10 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = ["laguerre", "log_gamma", "integrate_halfline"]
 
+# (state, parameters, (ln N, scale)) of the last eigenfunction call that passed validation, so
+# the next call for that state object repeats no per-state work.  Rebound as one whole tuple.
+_last_state: list[tuple] = [(None, None, None)]
+
 
 def laguerre(n: int, alpha: float, x: float) -> float:
     """Generalized Laguerre polynomial L_n^(alpha)(x) by upward recurrence.

@@ -264,6 +264,20 @@ class TestRefinement:
             assert nodes == 0
             assert abs(energy - want) <= tol_rel * abs(want)
 
+    @pytest.mark.parametrize("e0, bracket, guess", [
+        (-0.123456789, (-0.5, -0.01), None),
+        (-0.123456789, (-0.5, -0.01), -0.12),
+        (3.7, (1.0, 9.0), None),
+        (4.4e-7, (1e-7, 1e-6), 4.3e-7),
+    ])
+    def test_certified_bracket_returns_its_root(self, e0, bracket, guess):
+        # A mismatch linear in E, at S = n throughout: the false-position root
+        # of the final ends is e0 to rounding, where their midpoint is off by
+        # up to tol_rel/2.
+        energy, nodes = oracle._locate(lambda e: (2, e0 - e), 2, bracket, 1e-10, guess)
+        assert nodes == 2
+        assert abs(energy - e0) <= 1e-15 * abs(e0)
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("tol_rel", [math.nan, -1.0, 0.0, math.inf])

@@ -6,6 +6,9 @@ import pytest
 from conftest import chain_count, count_sign_changes, factorial_degeneracy, radial_overlap
 from morsebound.errors import CriticalCouplingError, DomainError, FamilyMismatchError
 from morsebound.langer import RadialProblem, quantized_energy_via_morse
+from morsebound.morse import MorseParams
+from morsebound.morse import eigenfunction as morse_eigenfunction
+from morsebound.morse import spectrum as morse_spectrum
 from morsebound.potentials import (
     coulomb_eigenfunction,
     coulomb_spectrum,
@@ -182,6 +185,77 @@ class TestEigenfunctions:
                                      (1.0, math.nan, 1.0, 1.0), (1.0, 1.0, 1.0, math.nan)):
             with pytest.raises(DomainError):
                 sho_eigenfunction(sho_state, omega, mass, hbar, r)
+
+
+class TestStateMemo:
+    """Consecutive calls for one state share its checks and per-state values."""
+
+    MORSE = MorseParams(v1=-8.0, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0)
+
+    def _interleaved(self):
+        """Calls as (function, args): states A, B, A of each family, mixed across
+        families, and the same state under other parameters that keep it a member
+        (hbar*omega, m*z^2/hbar^2 and the Morse well strength fixed)."""
+        ma, mb = morse_spectrum(self.MORSE)
+        deep = MorseParams(v1=-16.0, v2=8.0, alpha=2.0, mass=1.0, hbar=1.0)
+        wide = MorseParams(v1=-8.0, v2=8.0, alpha=0.5, mass=1.0, hbar=2.0)
+        sa, sb = sho_spectrum(3, 1, 0.75, 1.0, 1.0, 1.0, 1)
+        ca, cb = coulomb_spectrum(3, 1, 0.75, -1.0, 1.0, 1.0, 1)
+        m, s, c = morse_eigenfunction, sho_eigenfunction, coulomb_eigenfunction
+        return [
+            (m, (self.MORSE, ma, 0.3)), (m, (self.MORSE, mb, 1.7)), (m, (self.MORSE, ma, 2.9)),
+            (m, (deep, ma, 2.9)), (m, (wide, ma, 2.9)), (m, (self.MORSE, ma, 2.9)),
+            (s, (sa, 1.0, 1.0, 1.0, 0.4)), (s, (sb, 1.0, 1.0, 1.0, 1.1)),
+            (s, (sa, 1.0, 1.0, 1.0, 2.3)), (s, (sa, 2.0, 1.0, 0.5, 2.3)),
+            (s, (sa, 1.0, 2.5, 1.0, 2.3)), (m, (self.MORSE, ma, 0.3)),
+            (s, (sa, 1.0, 1.0, 1.0, 2.3)),
+            (c, (ca, -1.0, 1.0, 1.0, 0.7)), (c, (cb, -1.0, 1.0, 1.0, 3.1)),
+            (c, (ca, -1.0, 1.0, 1.0, 6.2)), (c, (ca, -2.0, 1.0, 2.0, 6.2)),
+            (c, (ca, -0.5, 4.0, 1.0, 6.2)), (s, (sa, 1.0, 1.0, 1.0, 0.4)),
+            (c, (ca, -1.0, 1.0, 1.0, 6.2)),
+        ]
+
+    def test_values_match_a_first_call(self):
+        other = sho_spectrum(3, 0, 0.0, 1.0, 1.0, 1.0, 0)[0]
+        calls = self._interleaved()
+        first = []
+        for f, args in calls:
+            sho_eigenfunction(other, 1.0, 1.0, 1.0, 1.0)  # so that each call here is a first one
+            first.append(f(*args).hex())
+        assert len(set(first)) == len(first) - 5  # five calls repeat one; the rest all differ
+        assert [f(*args).hex() for f, args in calls] == first
+        assert [f(*args).hex() for f, args in calls[::-1]] == first[::-1]
+
+    def test_a_filled_memo_still_rejects_bad_calls(self):
+        ma = morse_spectrum(self.MORSE)[0]
+        sa = sho_spectrum(3, 1, 0.75, 1.0, 1.0, 1.0, 0)[0]
+        ca = coulomb_spectrum(3, 1, 0.75, -1.0, 1.0, 1.0, 0)[0]
+        fills = {
+            "morse": lambda: morse_eigenfunction(self.MORSE, ma, 0.5),
+            "sho": lambda: sho_eigenfunction(sa, 1.0, 1.0, 1.0, 0.5),
+            "coulomb": lambda: coulomb_eigenfunction(ca, -1.0, 1.0, 1.0, 0.5),
+        }
+        bad_calls = [
+            ("morse", lambda: morse_eigenfunction(MorseParams(-9.0, 8.0, 1.0, 1.0, 1.0), ma, 0.5),
+             DomainError),
+            ("sho", lambda: sho_eigenfunction(sa, 2.0, 1.0, 1.0, 0.5), DomainError),
+            # The other family's function with the same numbers.
+            ("sho", lambda: coulomb_eigenfunction(sa, 1.0, 1.0, 1.0, 0.5), FamilyMismatchError),
+            ("sho", lambda: sho_eigenfunction(sa, 1.0, 1.0, 1.0, -0.5), DomainError),
+            ("sho", lambda: sho_eigenfunction(sa, 0.0, 1.0, 1.0, 0.5), DomainError),
+            ("sho", lambda: sho_eigenfunction(sa, -1.0, 1.0, -1.0, 0.5), DomainError),
+            ("coulomb", lambda: coulomb_eigenfunction(ca, -4.0, 1.0, 1.0, 0.5), DomainError),
+            ("coulomb", lambda: sho_eigenfunction(ca, -1.0, 1.0, 1.0, 0.5), FamilyMismatchError),
+            ("coulomb", lambda: coulomb_eigenfunction(ca, -1.0, 1.0, 1.0, -0.5), DomainError),
+            ("coulomb", lambda: coulomb_eigenfunction(ca, -1.0, 1.0, 1.0, math.nan), DomainError),
+        ]
+        for family, bad, error in bad_calls:
+            want = fills[family]()
+            with pytest.raises(error):
+                bad()
+            with pytest.raises(error):  # a call that raised left nothing behind
+                bad()
+            assert fills[family]() == want
 
 
 class TestPureLevels:
