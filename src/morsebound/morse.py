@@ -159,6 +159,8 @@ def eigenfunction(params: MorseParams, state: MorseState, x: float) -> float:
     product is formed from its logarithms, with ln N_n computed once per state
     rather than from ``state.norm_const``, which underflows to 0 in deep wells.
     """
+    if x != x:
+        raise DomainError(f"position must be a number, got {x}")
     memo = _last_state[0]
     if memo[0] is not state or memo[1] is not params:
         _require_member(params, state)

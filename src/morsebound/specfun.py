@@ -5,6 +5,10 @@ library.  The Laguerre recurrence and ``_log_space_product`` build every
 bound-state eigenfunction in the package; ``log_gamma`` is ``math.lgamma``; the
 double-exponential quadrature supplies the numerical side of every
 normalization and orthogonality test.
+
+The recurrence reads its constants from one step table per (n, alpha), and only
+the last table is kept (O(n) memory, about 150 bytes per degree); its results are
+bit-identical to forming each constant inside the loop.
 """
 
 from __future__ import annotations
@@ -18,6 +22,19 @@ __all__ = ["laguerre", "log_gamma", "integrate_halfline"]
 # (state, parameters, (ln N, scale)) of the last eigenfunction call that passed validation, so
 # the next call for that state object repeats no per-state work.  Rebound as one whole tuple.
 _last_state: list[tuple] = [(None, None, None)]
+
+# (n, alpha, steps) of the last Laguerre recurrence, where steps holds the triples
+# (2k + 1 + alpha, k + alpha, k + 1) for k = 1..n-1.  Rebound as one whole tuple.
+_last_steps: list[tuple] = [(None, None, ())]
+
+
+def _steps(n: int, alpha: float) -> tuple:
+    """The recurrence's step triples for degree n and parameter alpha, formed once per (n, alpha)."""
+    memo = _last_steps[0]
+    if memo[0] != n or memo[1] != alpha:
+        memo = (n, alpha, tuple([(2.0 * k + 1.0 + alpha, k + alpha, k + 1.0) for k in range(1, n)]))
+        _last_steps[0] = memo
+    return memo[2]
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:
@@ -44,21 +61,26 @@ def laguerre(n: int, alpha: float, x: float) -> float:
         (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1},
 
     is stable for x >= 0 and alpha > -1 and costs one step per degree.  The
-    explicit finite series suffers catastrophic cancellation of binomial
-    terms for moderate x and lives only in the test suite as an oracle.
+    step constants 2k + 1 + alpha, k + alpha and k + 1 depend only on (n, alpha),
+    so they come from a table formed once for the last (n, alpha) and kept
+    (O(n) memory, about 150 bytes per degree, less than the n-state spectrum
+    an eigenfunction caller already holds).  Each step keeps its order of
+    operations and its division, so the result is bit-identical to forming the
+    constants in the loop.  x = +inf is accepted: the far-tail callers discard
+    its value.  The explicit finite series suffers catastrophic cancellation of
+    binomial terms for moderate x and lives only in the test suite as an oracle.
     """
-    if n < 0:
-        raise DomainError(f"Laguerre degree must be non-negative, got {n}")
-    if alpha <= -1.0:
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"Laguerre degree must be a non-negative int, got {n!r}")
+    if not alpha > -1.0:
         raise DomainError(f"Laguerre parameter must exceed -1, got {alpha}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"Laguerre argument must be non-negative, got {x}")
     if n == 0:
         return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    prev, cur = 1.0, 1.0 + alpha - x
+    for a, b, c in _steps(n, alpha):
+        prev, cur = cur, ((a - x) * cur - b * prev) / c
     return cur
 
 
@@ -73,11 +95,11 @@ def _scaled_laguerre(n: int, alpha: float, x: float):
     """(m, s) with L_n^(alpha)(x) = m e^s for n >= 1: ``laguerre``'s recurrence with
     (prev, cur) divided by |cur| > 1 and ln|cur| added to s, so no term overflows."""
     prev, cur, scale = 1.0, 1.0 + alpha - x, 0.0
-    for k in range(1, n):
+    for a, b, c in _steps(n, alpha):
         if abs(cur) > 1.0:
             scale += math.log(abs(cur))
             prev, cur = prev / abs(cur), math.copysign(1.0, cur)
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        prev, cur = cur, ((a - x) * cur - b * prev) / c
     return cur, scale
 
 

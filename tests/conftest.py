@@ -1,7 +1,7 @@
-"""Shared test oracles: exact-series Laguerre evaluation, the terminating
-Kummer series, quantum-number chain enumeration, the factorial degeneracy
-formula, sign-change counting, quadrature overlaps and a product-form
-Numerov reference."""
+"""Shared test oracles: exact-series Laguerre evaluation, frozen copies of the
+Laguerre recurrence loops, the terminating Kummer series, quantum-number chain
+enumeration, the factorial degeneracy formula, sign-change counting, quadrature
+overlaps and a product-form Numerov reference."""
 
 import math
 from fractions import Fraction
@@ -32,6 +32,29 @@ def laguerre_fraction(n, alpha, x):
             binom *= (a + k + i) / i
         total += (-1) ** k * binom * xf ** k / math.factorial(k)
     return total
+
+
+def laguerre_loop(n, alpha, x):
+    """Frozen reference for ``specfun.laguerre``: the recurrence with each step's
+    constants formed inside the loop, as the kernel did before its step table."""
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    cur = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return cur
+
+
+def scaled_laguerre_loop(n, alpha, x):
+    """Frozen reference for ``specfun._scaled_laguerre``, constants formed in the loop."""
+    prev, cur, scale = 1.0, 1.0 + alpha - x, 0.0
+    for k in range(1, n):
+        if abs(cur) > 1.0:
+            scale += math.log(abs(cur))
+            prev, cur = prev / abs(cur), math.copysign(1.0, cur)
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return cur, scale
 
 
 def kummer_m_poly(n, b, z):

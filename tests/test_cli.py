@@ -120,7 +120,10 @@ class TestWavefunctionCommand:
         # L_10000 overflows at t = 2500 while u stays of order 0.1
         ["--system", "sho", "--dim", "3", "--omega", "1", "--n", "10000",
          "--min", "0", "--max", "100"],
-    ], ids=["deep-morse-well", "sho-l500", "sho-n10000"])
+        # the --n cap in a Morse well of strength 10000.65: L_10000 at xi of order 1e4
+        ["--system", "morse", "--v1=-14143", "--v2", "1", "--n", "10000",
+         "--min=-9", "--max=-8", "--samples", "3"],
+    ], ids=["deep-morse-well", "sho-l500", "sho-n10000", "morse-n10000"])
     def test_deep_well_and_high_l_are_finite(self, capsys, argv):
         code, out, _ = run_cli(capsys, "wavefunction", *argv)
         assert code == 0

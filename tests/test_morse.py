@@ -143,6 +143,20 @@ class TestEigenfunction:
         assert eigenfunction(TWO_STATE, st, -8.0) == 0.0
         assert abs(eigenfunction(TWO_STATE, st, -4.0)) < 1e-30
 
+    def test_nan_position_is_rejected(self):
+        params = MorseParams(v1=-8.0, v2=8.0, alpha=1.0, mass=1.0, hbar=1.0)
+        st = spectrum(params)[1]
+        with pytest.raises(DomainError):
+            eigenfunction(params, st, math.nan)  # the state's first call: a memo miss
+        eigenfunction(params, st, 0.5)
+        with pytest.raises(DomainError):
+            eigenfunction(params, st, math.nan)  # a memo hit
+
+    def test_infinite_positions_give_zero(self):
+        st = spectrum(TWO_STATE)[1]
+        assert eigenfunction(TWO_STATE, st, math.inf) == 0.0
+        assert eigenfunction(TWO_STATE, st, -math.inf) == 0.0
+
     def test_xi_variable(self):
         assert xi_of_x(TWO_STATE, 0.0) == pytest.approx(8.0, rel=1e-15, abs=0)
         assert xi_of_x(TWO_STATE, -2000.0) == math.inf

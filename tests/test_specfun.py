@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 
-from conftest import kummer_m_poly, laguerre_fraction, laguerre_series
+from conftest import (kummer_m_poly, laguerre_fraction, laguerre_loop, laguerre_series,
+                      scaled_laguerre_loop)
+from morsebound import specfun
 from morsebound.errors import ConvergenceError, DomainError
 from morsebound.specfun import _scaled_laguerre, integrate_halfline, laguerre, log_gamma
 
@@ -39,12 +42,51 @@ class TestLaguerre:
         assert scale + math.log(abs(mantissa)) == pytest.approx(log_want, rel=1e-15, abs=0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            laguerre(-1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            laguerre(2, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            laguerre(2, 0.5, -0.1)
+        for n, alpha, x in [(-1, 1.0, 1.0), (2, -1.0, 1.0), (2, 0.5, -0.1),
+                            (2.5, 0.0, 1.0), (2.0, 0.0, 1.0), ("3", 0.0, 1.0),
+                            (3, math.nan, 1.0), (3, 0.0, math.nan), (0, math.nan, 1.0),
+                            (0, 0.0, math.nan), (3, -math.inf, 1.0), (3, 0.0, -math.inf)]:
+            with pytest.raises(DomainError):
+                laguerre(n, alpha, x)
+        # The far-tail paths of the radial eigenfunctions hand in t = +inf and
+        # discard the value, so it passes.
+        laguerre(3, 0.0, math.inf)
+        assert laguerre(0, 0.5, math.inf) == 1.0
+
+    def test_step_table_is_bit_identical(self):
+        # Seeded draws against the frozen loops, ordered A, A, B, A so that the
+        # one-slot step table both hits (the second A) and misses.
+        rng = random.Random(27)
+
+        def draw():
+            alpha = rng.choice([rng.uniform(-1.0, 0.0), rng.uniform(0.0, 80.0)])
+            return rng.randint(0, 60), alpha, rng.uniform(0.0, 300.0)
+
+        def check(n, alpha, x):
+            assert laguerre(n, alpha, x).hex() == laguerre_loop(n, alpha, x).hex()
+            if n >= 1:
+                got, want = _scaled_laguerre(n, alpha, x), scaled_laguerre_loop(n, alpha, x)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+        for _ in range(300):
+            (n, alpha, x), (m, beta, y) = draw(), draw()
+            for case in ((n, alpha, x), (n, alpha, rng.uniform(0.0, 300.0)), (m, beta, y),
+                         (n, alpha, x)):
+                check(*case)
+        for n in (1, 2, 7, 40):
+            for alpha in (0.0, -0.0, 0.0):
+                check(n, alpha, 2.5)
+        check(300, 0.5, 3000.0)  # the plain recurrence overflows; the scaled one does not
+
+    def test_one_step_table_is_kept(self):
+        laguerre(10_000, 0.5, 1.0)
+        laguerre(3, 0.5, 1.0)
+        (slot,) = specfun._last_steps
+        assert slot[:2] == (3, 0.5) and len(slot[2]) == 2
+        for bad in ((3, math.nan, 1.0), (4, 0.5, -1.0), (5, 0.5, math.nan), (6.0, 0.5, 1.0)):
+            with pytest.raises(DomainError):
+                laguerre(*bad)
+            assert specfun._last_steps[0] is slot
 
 
 class TestLogGamma:
